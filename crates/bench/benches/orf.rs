@@ -1,9 +1,9 @@
-//! ORF micro-benchmarks: per-sample update cost, prediction latency, the
-//! `n_tests` memory/CPU knob, and rayon batch-update scaling — the
-//! "training and testing procedures can be easily parallelized" claim of
-//! §3.2, measured.
+//! ORF micro-benchmarks: per-sample update cost, batch update cost,
+//! prediction latency, and the `n_tests` memory/CPU knob. The update
+//! benches start from a warmed forest built outside the timed region, so
+//! the reported throughput covers only the measured samples.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use orfpred_core::{OnlineRandomForest, OrfConfig};
 use orfpred_util::Xoshiro256pp;
 use std::hint::black_box;
@@ -46,48 +46,44 @@ fn bench_update(c: &mut Criterion) {
     let mut group = c.benchmark_group("orf_update");
     let data = stream(3_000, 2);
     for &n_tests in &[50usize, 500] {
+        let warmed = warmed_forest(n_tests);
         group.throughput(Throughput::Elements(data.len() as u64));
         group.bench_with_input(
             BenchmarkId::new("serial_samples", n_tests),
             &n_tests,
-            |b, &n_tests| {
-                b.iter(|| {
-                    let mut f = warmed_forest(n_tests);
-                    for (x, y) in &data {
-                        f.update(black_box(x), *y);
-                    }
-                    f.samples_seen()
-                });
+            |b, _| {
+                b.iter_batched(
+                    || warmed.clone(),
+                    |mut f| {
+                        for (x, y) in &data {
+                            f.update(black_box(x), *y);
+                        }
+                        f
+                    },
+                    BatchSize::LargeInput,
+                );
             },
         );
     }
     group.finish();
 }
 
-fn bench_update_batch_scaling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("orf_batch_parallel");
+fn bench_update_batch(c: &mut Criterion) {
+    let mut group = c.benchmark_group("orf_update_batch");
     let data = stream(5_000, 3);
     let batch: Vec<(&[f32], bool)> = data.iter().map(|(x, y)| (x.as_slice(), *y)).collect();
-    for &threads in &[1usize, 4] {
-        group.throughput(Throughput::Elements(batch.len() as u64));
-        group.bench_with_input(
-            BenchmarkId::new("threads", threads),
-            &threads,
-            |b, &threads| {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .unwrap();
-                b.iter(|| {
-                    pool.install(|| {
-                        let mut f = warmed_forest(200);
-                        f.update_batch(black_box(&batch));
-                        f.samples_seen()
-                    })
-                });
+    let warmed = warmed_forest(200);
+    group.throughput(Throughput::Elements(batch.len() as u64));
+    group.bench_function("batch_5k", |b| {
+        b.iter_batched(
+            || warmed.clone(),
+            |mut f| {
+                f.update_batch(black_box(&batch));
+                f
             },
+            BatchSize::LargeInput,
         );
-    }
+    });
     group.finish();
 }
 
@@ -149,6 +145,6 @@ fn bench_tree_replacement(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_update, bench_update_batch_scaling, bench_predict, bench_tree_replacement
+    targets = bench_update, bench_update_batch, bench_predict, bench_tree_replacement
 );
 criterion_main!(benches);

@@ -169,6 +169,42 @@ impl Bencher {
         }
         self.elapsed = start.elapsed();
     }
+
+    /// Time `routine` over the configured number of iterations, each on a
+    /// fresh input built by `setup`. Only `routine` is timed: building the
+    /// input and dropping the output run outside the clock, so a bench
+    /// whose input is expensive (a warmed model, say) reports the cost of
+    /// the measured work alone. The batch size hint is accepted for API
+    /// compatibility; every input is built just before its own iteration.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        // One untimed warmup iteration.
+        black_box(routine(setup()));
+        let mut elapsed = Duration::ZERO;
+        for _ in 0..self.iters {
+            let input = setup();
+            let start = Instant::now();
+            let output = routine(input);
+            elapsed += start.elapsed();
+            drop(black_box(output));
+        }
+        self.elapsed = elapsed;
+    }
+}
+
+/// How many inputs [`Bencher::iter_batched`] may build at once; mirrors
+/// criterion's enum (the shim builds one input per iteration regardless).
+#[derive(Clone, Copy, Debug)]
+pub enum BatchSize {
+    /// Cheap inputs.
+    SmallInput,
+    /// Inputs too large to build many of at once.
+    LargeInput,
+    /// One input per iteration.
+    PerIteration,
 }
 
 fn run_one(
@@ -236,6 +272,13 @@ mod tests {
             b.iter(|| (0..n).sum::<u64>())
         });
         g.bench_function("plain", |b| b.iter(|| black_box(2 * 2)));
+        g.bench_function("batched", |b| {
+            b.iter_batched(
+                || vec![1u64; 8],
+                |v| v.iter().sum::<u64>(),
+                BatchSize::SmallInput,
+            )
+        });
         g.finish();
     }
 
@@ -244,5 +287,24 @@ mod tests {
     #[test]
     fn harness_runs() {
         benches();
+    }
+
+    #[test]
+    fn iter_batched_keeps_setup_off_the_clock() {
+        let mut b = Bencher {
+            iters: 3,
+            elapsed: Duration::ZERO,
+        };
+        let (mut setups, mut runs) = (0, 0);
+        b.iter_batched(
+            || {
+                setups += 1;
+                std::thread::sleep(Duration::from_millis(30));
+            },
+            |()| runs += 1,
+            BatchSize::LargeInput,
+        );
+        assert_eq!((setups, runs), (4, 4), "warmup plus three timed runs");
+        assert!(b.elapsed < Duration::from_millis(30), "{:?}", b.elapsed);
     }
 }

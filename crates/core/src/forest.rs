@@ -8,18 +8,83 @@
 //! the temporal-forgetting mechanism that makes the model track a drifting
 //! SMART distribution.
 //!
-//! Parallelism: trees are fully independent, so updates and predictions
-//! fan out across trees with rayon. Every tree owns a private RNG stream
-//! derived from the forest seed, which makes results **bit-identical for
-//! any thread count** — the property the whole experiment suite leans on.
+//! Every tree owns a private RNG stream derived from the forest seed, so a
+//! tree's evolution depends only on the samples it sees, never on the
+//! order in which trees are visited — the property the whole experiment
+//! suite leans on.
+//!
+//! Hot path: `update` and `score` first walk the row down every tree
+//! together, one depth level per step, over the trees' flat walk arrays
+//! (cursors on the stack, `WALK_CHUNK` trees per pass, no heap
+//! allocation). The leaves found serve both the out-of-bag vote and each
+//! tree's first in-bag update. The Poisson constant `e^-λ` is computed once
+//! per sample, not once per tree.
 
 use crate::config::OrfConfig;
 use crate::tree::OnlineTree;
-use orfpred_util::dist::poisson;
+use orfpred_util::dist::{poisson, poisson_knuth};
 use orfpred_util::stats::Ewma;
 use orfpred_util::Xoshiro256pp;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+
+/// Trees walked together in one lockstep pass. The per-tree cursors live
+/// in a stack array of this size, so forests of any size walk without
+/// allocating, `WALK_CHUNK` trees at a time.
+const WALK_CHUNK: usize = 32;
+
+/// Walk `x` down every tree of `slots` (at most [`WALK_CHUNK`]) together:
+/// each step advances all cursors one level, as many steps as the deepest
+/// tree needs. Leaves loop back to themselves, so shallower trees simply
+/// stay put, and the inner loop carries no per-tree branch. Each cursor
+/// chain is independent, so the CPU overlaps the node loads.
+fn walk_lockstep<'a>(
+    slots: &[TreeSlot],
+    x: &[f32],
+    leaves: &'a mut [u32; WALK_CHUNK],
+) -> &'a [u32] {
+    let leaves = &mut leaves[..slots.len()];
+    leaves.fill(0);
+    let depth = slots.iter().map(|s| s.tree.walk_depth()).max().unwrap_or(0);
+    for _ in 0..depth {
+        for (at, slot) in leaves.iter_mut().zip(slots) {
+            *at = slot.tree.step(*at, x);
+        }
+    }
+    leaves
+}
+
+/// Online-bagging draw for one label: `Poisson(λ)` with `e^-λ` computed
+/// once and shared by every tree's draw.
+#[derive(Clone, Copy)]
+struct Bagging {
+    lambda: f64,
+    exp_neg_lambda: f64,
+}
+
+impl Bagging {
+    fn for_label(cfg: &OrfConfig, positive: bool) -> Self {
+        let lambda = if positive {
+            cfg.lambda_pos
+        } else {
+            cfg.lambda_neg
+        };
+        Self {
+            lambda,
+            exp_neg_lambda: (-lambda).exp(),
+        }
+    }
+
+    /// Same count and same RNG advance as `poisson(rng, λ)`, which takes
+    /// the product-method branch exactly when `0 < λ ≤ 30`.
+    #[inline]
+    fn draw(&self, rng: &mut Xoshiro256pp) -> u32 {
+        if self.lambda > 0.0 && self.lambda <= 30.0 {
+            poisson_knuth(rng, self.exp_neg_lambda)
+        } else {
+            poisson(rng, self.lambda)
+        }
+    }
+}
 
 /// One tree plus its bagging/decay bookkeeping.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -60,23 +125,29 @@ impl TreeSlot {
         }
     }
 
-    /// Process one sample for this tree (Algorithm 1, lines 2–28).
-    fn process(&mut self, x: &[f32], positive: bool, cfg: &OrfConfig) -> bool {
-        let lambda = if positive {
-            cfg.lambda_pos
-        } else {
-            cfg.lambda_neg
-        };
-        let k = poisson(&mut self.rng, lambda);
+    /// Process one sample for this tree (Algorithm 1, lines 2–28), given
+    /// the leaf `x` currently routes to. Returns whether the tree has
+    /// decayed and should be regrown.
+    fn process(
+        &mut self,
+        leaf: u32,
+        x: &[f32],
+        positive: bool,
+        bag: &Bagging,
+        cfg: &OrfConfig,
+    ) -> bool {
+        let k = bag.draw(&mut self.rng);
         if k > 0 {
-            for _ in 0..k {
+            self.tree.update_at(leaf, x, positive, cfg, &mut self.rng);
+            // A split moves `x` to a child, so later replays walk afresh.
+            for _ in 1..k {
                 self.tree.update(x, positive, cfg, &mut self.rng);
             }
             self.age += u64::from(k);
             false
         } else {
             // Out-of-bag: update OOBE and check the decay condition.
-            let err = self.tree.predict(x) != positive;
+            let err = (self.tree.leaf_score(leaf) >= 0.5) != positive;
             if positive {
                 self.oobe_pos.push(f64::from(u8::from(err)));
             } else {
@@ -121,41 +192,48 @@ impl OnlineRandomForest {
         assert_eq!(x.len(), self.n_features, "feature dimension mismatch");
         self.samples_seen += 1;
         let cfg = &self.cfg;
+        let bag = Bagging::for_label(cfg, positive);
         let mut replace: Vec<usize> = Vec::new();
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            if slot.process(x, positive, cfg) {
-                replace.push(i);
+        let mut cursors = [0u32; WALK_CHUNK];
+        for (c, chunk) in self.slots.chunks_mut(WALK_CHUNK).enumerate() {
+            let leaves = walk_lockstep(chunk, x, &mut cursors);
+            for (j, (slot, &leaf)) in chunk.iter_mut().zip(leaves).enumerate() {
+                if slot.process(leaf, x, positive, &bag, cfg) {
+                    replace.push(c * WALK_CHUNK + j);
+                }
             }
         }
         self.replace_slots(&replace);
     }
 
-    /// Absorb a batch, updating trees in parallel.
+    /// Absorb a batch, tree by tree.
     ///
     /// Exactly equivalent to calling [`OnlineRandomForest::update`] per
     /// sample (per-tree RNG streams make tree work independent), except that
     /// tree replacement is deferred to batch boundaries — a tree flagged as
-    /// decayed mid-batch finishes the batch before being regrown.
+    /// decayed mid-batch finishes the batch before being regrown. Runs on
+    /// the calling thread.
     pub fn update_batch(&mut self, batch: &[(&[f32], bool)]) {
         for (x, _) in batch {
             assert_eq!(x.len(), self.n_features, "feature dimension mismatch");
         }
         self.samples_seen += batch.len() as u64;
-        let cfg = self.cfg.clone();
-        let flagged: Vec<usize> = self
-            .slots
-            .par_iter_mut()
-            .enumerate()
-            .filter_map(|(i, slot)| {
-                let mut decayed = false;
-                for &(x, positive) in batch {
-                    decayed |= slot.process(x, positive, &cfg);
-                }
-                decayed.then_some(i)
-            })
-            .collect();
-        let mut flagged = flagged;
-        flagged.sort_unstable();
+        let cfg = &self.cfg;
+        let bags = [
+            Bagging::for_label(cfg, false),
+            Bagging::for_label(cfg, true),
+        ];
+        let mut flagged: Vec<usize> = Vec::new();
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            let mut decayed = false;
+            for &(x, positive) in batch {
+                let leaf = slot.tree.leaf_of(x);
+                decayed |= slot.process(leaf, x, positive, &bags[usize::from(positive)], cfg);
+            }
+            if decayed {
+                flagged.push(i);
+            }
+        }
         self.replace_slots(&flagged);
     }
 
@@ -178,26 +256,29 @@ impl OnlineRandomForest {
 
     /// Ensemble score in `[0, 1]`: mean per-tree positive probability over
     /// mature trees (see [`OrfConfig::warmup_age`]); falls back to all trees
-    /// while the forest is young.
+    /// while the forest is young. Allocation-free; the per-tree scores are
+    /// summed in slot order.
     pub fn score(&self, x: &[f32]) -> f32 {
         debug_assert_eq!(x.len(), self.n_features);
-        let mature: Vec<&TreeSlot> = self
-            .slots
-            .iter()
-            .filter(|s| s.age >= self.cfg.warmup_age)
-            .collect();
-        let pool: &[&TreeSlot] = if mature.is_empty() {
-            &self.slots.iter().collect::<Vec<_>>()[..]
-        } else {
-            &mature[..]
-        };
-        let sum: f32 = pool.iter().map(|s| s.tree.score(x)).sum();
-        sum / pool.len() as f32
+        let warmup = self.cfg.warmup_age;
+        let everyone = !self.slots.iter().any(|s| s.age >= warmup);
+        let (mut sum, mut voters) = (0.0f32, 0usize);
+        let mut cursors = [0u32; WALK_CHUNK];
+        for chunk in self.slots.chunks(WALK_CHUNK) {
+            let leaves = walk_lockstep(chunk, x, &mut cursors);
+            for (slot, &leaf) in chunk.iter().zip(leaves) {
+                if everyone || slot.age >= warmup {
+                    sum += slot.tree.leaf_score(leaf);
+                    voters += 1;
+                }
+            }
+        }
+        sum / voters as f32
     }
 
-    /// Score many rows in parallel.
+    /// Score many rows, one after another on the calling thread.
     pub fn score_batch(&self, rows: &[&[f32]]) -> Vec<f32> {
-        rows.par_iter().map(|r| self.score(r)).collect()
+        rows.iter().map(|r| self.score(r)).collect()
     }
 
     /// Hard prediction at vote threshold `tau`.
@@ -495,6 +576,156 @@ mod tests {
         feed_separable(&mut b, 200, 9);
         assert_eq!(a.score(&[0.3, 0.3]), b.score(&[0.3, 0.3]));
         assert_eq!(a.trees_replaced(), b.trees_replaced());
+    }
+
+    /// Rows that stress routing: in range, on the boundaries, out of
+    /// range, infinite and NaN, in every feature.
+    fn hostile_rows(n_features: usize, seed: u64) -> Vec<Vec<f32>> {
+        let specials = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -1e30,
+            1e30,
+            -0.5,
+            1.5,
+            0.0,
+            1.0,
+            -0.0,
+        ];
+        let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        (0..400)
+            .map(|i| {
+                (0..n_features)
+                    .map(|f| {
+                        if (i + f) % 3 == 0 {
+                            specials[rng.index(specials.len())]
+                        } else {
+                            rng.next_f32()
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// A forest grown on a stream with interacting features, so trees get
+    /// deep and uneven.
+    fn grown(n_trees: usize, n_features: usize, seed: u64) -> OnlineRandomForest {
+        let cfg = OrfConfig {
+            n_trees,
+            min_parent_size: 10.0,
+            min_gain: 0.0,
+            ..cfg_fast()
+        };
+        let mut f = OnlineRandomForest::new(n_features, cfg, seed);
+        let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0x5eed);
+        for _ in 0..1_500 {
+            let x: Vec<f32> = (0..n_features).map(|_| rng.next_f32()).collect();
+            let y = (x[0] > 0.5) != (x[n_features - 1] < 0.3) || rng.bernoulli(0.05);
+            f.update(&x, y);
+        }
+        f
+    }
+
+    #[test]
+    fn lockstep_walk_reaches_the_arena_leaf_of_every_tree() {
+        for (n_trees, n_features, seed) in [(7, 3, 1), (33, 5, 2), (70, 2, 3)] {
+            let f = grown(n_trees, n_features, seed);
+            assert!(
+                f.slots.iter().any(|s| s.tree.walk_depth() >= 3),
+                "forest too shallow to test routing"
+            );
+            let mut cursors = [0u32; WALK_CHUNK];
+            for x in hostile_rows(n_features, seed) {
+                for chunk in f.slots.chunks(WALK_CHUNK) {
+                    let leaves = walk_lockstep(chunk, &x, &mut cursors);
+                    for (slot, &leaf) in chunk.iter().zip(leaves) {
+                        let want = slot.tree.arena_leaf(&x);
+                        assert_eq!(leaf as usize, want, "lockstep, row {x:?}");
+                        assert_eq!(slot.tree.leaf_of(&x) as usize, want, "single, row {x:?}");
+                        assert_eq!(
+                            slot.tree.leaf_score(leaf).to_bits(),
+                            slot.tree.arena_score(&x).to_bits()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn any_tree_count_matches_single_tree_walks() {
+        for n_trees in [1usize, 31, 32, 33, 64, 65, 70] {
+            let mut a = grown(n_trees, 3, n_trees as u64);
+            // `update_batch` on one sample walks each tree on its own, so it
+            // must leave the forest exactly as the lockstep `update` does.
+            let mut b = a.clone();
+            let mut rng = Xoshiro256pp::seed_from_u64(99);
+            for _ in 0..300 {
+                let x = [rng.next_f32(), rng.next_f32(), rng.next_f32()];
+                let y = x[1] > 0.4;
+                a.update(&x, y);
+                b.update_batch(&[(&x[..], y)]);
+            }
+            assert_eq!(
+                serde_json::to_string(&a).unwrap(),
+                serde_json::to_string(&b).unwrap(),
+                "{n_trees} trees"
+            );
+            assert_eq!(a.slots.len(), n_trees);
+            assert!(a.slots.iter().all(|s| s.age > 0), "every tree trained");
+            for x in hostile_rows(3, 7) {
+                // Reference: the pool `score` documents, each tree walked
+                // down its arena, summed in slot order.
+                let mature: Vec<&TreeSlot> = a
+                    .slots
+                    .iter()
+                    .filter(|s| s.age >= a.cfg.warmup_age)
+                    .collect();
+                let pool: Vec<&TreeSlot> = if mature.is_empty() {
+                    a.slots.iter().collect()
+                } else {
+                    mature
+                };
+                let sum: f32 = pool.iter().map(|s| s.tree.arena_score(&x)).sum();
+                let want = sum / pool.len() as f32;
+                assert_eq!(a.score(&x).to_bits(), want.to_bits(), "{n_trees} trees");
+            }
+        }
+    }
+
+    #[test]
+    fn hoisted_poisson_constant_draws_like_poisson() {
+        for lambda in [
+            1e-9f64, 0.001, 0.01, 0.02, 0.05, 0.1, 0.5, 1.0, 2.5, 7.0, 15.0, 29.99, 30.0,
+        ] {
+            let mut a = Xoshiro256pp::seed_from_u64(lambda.to_bits());
+            let mut b = a.clone();
+            let l = (-lambda).exp();
+            for _ in 0..20_000 {
+                assert_eq!(
+                    poisson_knuth(&mut a, l),
+                    poisson(&mut b, lambda),
+                    "λ {lambda}"
+                );
+            }
+            assert_eq!(a, b, "RNG state after the sweep, λ {lambda}");
+        }
+        // The forest's draw covers poisson's other branches too.
+        for lambda in [0.0, 0.02, 1.0, 30.0, 30.5, 45.0] {
+            let cfg = OrfConfig {
+                lambda_neg: lambda,
+                ..OrfConfig::default()
+            };
+            let bag = Bagging::for_label(&cfg, false);
+            let mut a = Xoshiro256pp::seed_from_u64(5);
+            let mut b = a.clone();
+            for _ in 0..5_000 {
+                assert_eq!(bag.draw(&mut a), poisson(&mut b, lambda), "λ {lambda}");
+            }
+            assert_eq!(a, b, "RNG state, λ {lambda}");
+        }
     }
 
     #[test]

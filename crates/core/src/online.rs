@@ -113,6 +113,9 @@ pub struct OnlinePredictor {
     forest: OnlineRandomForest,
     alarm_threshold: f32,
     scratch: Vec<f32>,
+    /// The fresh row's scaler pre-transform, computed once per row and
+    /// used both to widen the bounds and to score it.
+    pre_row: Vec<f32>,
     alarms_raised: u64,
     prep: Option<Preprocessor>,
     adaptive: Option<AdaptiveState>,
@@ -133,6 +136,7 @@ impl OnlinePredictor {
             forest: OnlineRandomForest::new(n, cfg.orf.clone(), cfg.seed),
             alarm_threshold: cfg.alarm_threshold,
             scratch: vec![0.0; n],
+            pre_row: vec![0.0; n],
             alarms_raised: 0,
             prep: cfg.prep.as_ref().map(Preprocessor::new),
             adaptive: cfg
@@ -223,7 +227,9 @@ impl OnlinePredictor {
     fn observe_extended(&mut self, rec: &DiskDay) -> (f32, Option<Alarm>) {
         // The scaler only ever widens, so updating it before training keeps
         // past and future transforms consistent.
-        self.scaler.update(&rec.features);
+        self.scaler
+            .pre_transform_into(&rec.features, &mut self.pre_row);
+        self.scaler.widen(&self.pre_row);
 
         // Model update phase: train on whatever just became labelled.
         if let Some(released) = self
@@ -237,7 +243,8 @@ impl OnlinePredictor {
         }
 
         // Prediction phase on the fresh (still unlabelled) sample.
-        let score = self.score_row(&rec.features);
+        self.scaler.scale_into(&self.pre_row, &mut self.scratch);
+        let score = self.forest.score(&self.scratch);
         let alarm = if score >= self.alarm_threshold {
             self.alarms_raised += 1;
             Some(Alarm {

@@ -8,11 +8,19 @@
 //! statistics seed the children's class priors (so they predict sensibly
 //! from the first moment, following Saffari et al.), and each child gets a
 //! fresh random test pool.
+//!
+//! Routing runs over a flat walk array (`WalkNode`) kept beside the node
+//! arena: every node's `feature`, `threshold` and both child indices, with
+//! leaves looping back to themselves. A walk of the tree's depth therefore
+//! lands on the right leaf from any row without a per-step leaf test, and
+//! the forest can advance all of its trees together one level at a time
+//! (see `crate::forest`). The array is derived from the arena: it is
+//! rebuilt on load and never serialized, so checkpoints keep their shape.
 
 use crate::config::OrfConfig;
 use orfpred_trees::gini::{split_gain, ClassCounts};
 use orfpred_util::Xoshiro256pp;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// One candidate split test with streaming statistics.
 ///
@@ -49,8 +57,45 @@ enum Node {
     },
 }
 
+/// Routing of one arena node, in the walk array.
+///
+/// A split node sends `x[feature] <= threshold` to `lo` and everything else
+/// (NaN included) to `hi`, exactly as its [`Node::Split`] does. A leaf sends
+/// both edges to itself and keeps its current score,
+/// `counts.pos_fraction() as f32`, in `threshold`, so the out-of-bag vote
+/// and `score` read it without touching the leaf's test pool.
+#[derive(Clone, Copy, Debug)]
+struct WalkNode {
+    feature: u16,
+    threshold: f32,
+    lo: u32,
+    hi: u32,
+}
+
+impl WalkNode {
+    fn leaf(at: u32, counts: &ClassCounts) -> Self {
+        Self {
+            feature: 0,
+            threshold: counts.pos_fraction() as f32,
+            lo: at,
+            hi: at,
+        }
+    }
+
+    /// One routing step from this node. Leaves compare `x[0]` against their
+    /// score and go nowhere either way, so the step needs no leaf test.
+    #[inline(always)]
+    fn step(&self, x: &[f32]) -> u32 {
+        if x[usize::from(self.feature)] <= self.threshold {
+            self.lo
+        } else {
+            self.hi
+        }
+    }
+}
+
 /// A single online random tree.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct OnlineTree {
     nodes: Vec<Node>,
     n_features: usize,
@@ -59,14 +104,95 @@ pub struct OnlineTree {
     /// hook the paper highlights ("models are highly interpretable so they
     /// can be used to reveal the real cause of disk failures").
     importances: Vec<f64>,
+    /// Routing of `nodes[i]` at index `i` (derived, never serialized).
+    walk: Vec<WalkNode>,
+    /// Deepest leaf: after this many steps from the root every walk sits
+    /// on its leaf (derived, never serialized).
+    depth: u32,
+}
+
+/// Build the walk array and depth of a node arena. Children always sit
+/// after their parent in the arena, which this checks, so a forward sweep
+/// settles every depth and a damaged arena is an error, not a bad walk.
+fn build_walk(nodes: &[Node], n_features: usize) -> Result<(Vec<WalkNode>, u32), String> {
+    if nodes.is_empty() {
+        return Err("tree has no nodes".into());
+    }
+    let mut walk = Vec::with_capacity(nodes.len());
+    let mut depth_of = vec![0u32; nodes.len()];
+    let mut depth = 0u32;
+    for (i, node) in nodes.iter().enumerate() {
+        let at = i as u32;
+        match node {
+            Node::Leaf { counts, .. } => {
+                walk.push(WalkNode::leaf(at, counts));
+                depth = depth.max(depth_of[i]);
+            }
+            &Node::Split {
+                feature,
+                threshold,
+                left,
+                right,
+            } => {
+                for child in [left, right] {
+                    if child <= at || child as usize >= nodes.len() {
+                        return Err(format!("node {i} has child {child} out of order"));
+                    }
+                    depth_of[child as usize] = depth_of[i] + 1;
+                }
+                if usize::from(feature) >= n_features {
+                    return Err(format!(
+                        "node {i} splits on feature {feature} of {n_features}"
+                    ));
+                }
+                walk.push(WalkNode {
+                    feature,
+                    threshold,
+                    lo: left,
+                    hi: right,
+                });
+            }
+        }
+    }
+    Ok((walk, depth))
+}
+
+// Manual impls keep the serialized shape the derive gave before the walk
+// array existed (same fields, same order) and rebuild the array on load.
+impl Serialize for OnlineTree {
+    fn ser(&self) -> Value {
+        Value::Obj(vec![
+            ("nodes".to_string(), self.nodes.ser()),
+            ("n_features".to_string(), self.n_features.ser()),
+            ("n_splits".to_string(), self.n_splits.ser()),
+            ("importances".to_string(), self.importances.ser()),
+        ])
+    }
+}
+
+impl Deserialize for OnlineTree {
+    fn de(v: &Value) -> Result<Self, serde::Error> {
+        let nodes: Vec<Node> = serde::get_field(v, "nodes")?;
+        let n_features = serde::get_field(v, "n_features")?;
+        let (walk, depth) = build_walk(&nodes, n_features).map_err(serde::Error::msg)?;
+        Ok(Self {
+            nodes,
+            n_features,
+            n_splits: serde::get_field(v, "n_splits")?,
+            importances: serde::get_field(v, "importances")?,
+            walk,
+            depth,
+        })
+    }
 }
 
 impl OnlineTree {
     /// Fresh single-leaf tree. `rng` supplies the root's random tests.
     pub fn new(n_features: usize, cfg: &OrfConfig, rng: &mut Xoshiro256pp) -> Self {
         assert!(n_features > 0 && n_features <= u16::MAX as usize);
+        let counts = ClassCounts::new();
         let root = Node::Leaf {
-            counts: ClassCounts::new(),
+            counts,
             depth: 0,
             tests: Self::fresh_tests(n_features, cfg.n_tests, rng),
             next_check: cfg.min_parent_size,
@@ -76,6 +202,8 @@ impl OnlineTree {
             n_features,
             n_splits: 0,
             importances: vec![0.0; n_features],
+            walk: vec![WalkNode::leaf(0, &counts)],
+            depth: 0,
         }
     }
 
@@ -94,33 +222,50 @@ impl OnlineTree {
             .collect()
     }
 
+    /// Number of walk steps after which every row sits on its leaf.
+    #[inline]
+    pub(crate) fn walk_depth(&self) -> u32 {
+        self.depth
+    }
+
+    /// One routing step of `x` from node `at`; leaves step to themselves.
+    #[inline(always)]
+    pub(crate) fn step(&self, at: u32, x: &[f32]) -> u32 {
+        self.walk[at as usize].step(x)
+    }
+
+    /// Score of leaf `leaf` (a node index a full walk ended on).
+    #[inline]
+    pub(crate) fn leaf_score(&self, leaf: u32) -> f32 {
+        self.walk[leaf as usize].threshold
+    }
+
     /// Index of the leaf that `x` routes to (Algorithm 1's `FindLeaf`).
-    fn find_leaf(&self, x: &[f32]) -> usize {
-        let mut at = 0usize;
-        loop {
-            match &self.nodes[at] {
-                Node::Leaf { .. } => return at,
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    at = if x[*feature as usize] <= *threshold {
-                        *left as usize
-                    } else {
-                        *right as usize
-                    };
-                }
-            }
+    pub(crate) fn leaf_of(&self, x: &[f32]) -> u32 {
+        let mut at = 0;
+        for _ in 0..self.depth {
+            at = self.step(at, x);
         }
+        at
     }
 
     /// Absorb one (scaled) sample; splits the reached leaf if Algorithm 1's
     /// condition `|D| ≥ α ∧ ∃s: ΔG ≥ β` is met.
     pub fn update(&mut self, x: &[f32], positive: bool, cfg: &OrfConfig, rng: &mut Xoshiro256pp) {
+        self.update_at(self.leaf_of(x), x, positive, cfg, rng);
+    }
+
+    /// [`Self::update`] with the leaf `x` routes to already found.
+    pub(crate) fn update_at(
+        &mut self,
+        leaf: u32,
+        x: &[f32],
+        positive: bool,
+        cfg: &OrfConfig,
+        rng: &mut Xoshiro256pp,
+    ) {
         debug_assert_eq!(x.len(), self.n_features);
-        let at = self.find_leaf(x);
+        let at = leaf as usize;
         let (should_split, best) = {
             let Node::Leaf {
                 counts,
@@ -129,9 +274,10 @@ impl OnlineTree {
                 next_check,
             } = &mut self.nodes[at]
             else {
-                unreachable!("find_leaf returns a leaf")
+                unreachable!("a full walk ends on a leaf")
             };
             counts.add(positive, 1.0);
+            self.walk[at] = WalkNode::leaf(leaf, counts);
             for t in tests.iter_mut() {
                 if x[t.feature as usize] <= t.threshold {
                     t.left.add(positive, 1.0);
@@ -223,6 +369,15 @@ impl OnlineTree {
             left: left_id,
             right: right_id,
         };
+        self.walk.push(WalkNode::leaf(left_id, &left_counts));
+        self.walk.push(WalkNode::leaf(right_id, &right_counts));
+        self.walk[at] = WalkNode {
+            feature,
+            threshold,
+            lo: left_id,
+            hi: right_id,
+        };
+        self.depth = self.depth.max(u32::from(child_depth));
         self.n_splits += 1;
         self.importances[usize::from(feature)] += gain * node_weight;
     }
@@ -232,10 +387,7 @@ impl OnlineTree {
     /// An empty leaf (fresh root) returns 0 — "no evidence of failure" is
     /// the conservative answer for an alarm system.
     pub fn score(&self, x: &[f32]) -> f32 {
-        match &self.nodes[self.find_leaf(x)] {
-            Node::Leaf { counts, .. } => counts.pos_fraction() as f32,
-            Node::Split { .. } => unreachable!(),
-        }
+        self.leaf_score(self.leaf_of(x))
     }
 
     /// Hard prediction at threshold 0.5 (used for OOBE accounting).
@@ -268,14 +420,7 @@ impl OnlineTree {
 
     /// Maximum leaf depth reached.
     pub fn max_depth(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter_map(|n| match n {
-                Node::Leaf { depth, .. } => Some(*depth as usize),
-                Node::Split { .. } => None,
-            })
-            .max()
-            .unwrap_or(0)
+        self.depth as usize
     }
 
     /// Accumulate this tree's per-feature weighted gains into `acc`.
@@ -329,6 +474,39 @@ impl OnlineTree {
         let mut imp = vec![0.0; self.n_features];
         self.add_importances(&mut imp);
         b.finish(imp)
+    }
+}
+
+/// Test-only reference: Algorithm 1's `FindLeaf` as a plain descent of the
+/// node arena, independent of the walk array.
+#[cfg(test)]
+impl OnlineTree {
+    pub(crate) fn arena_leaf(&self, x: &[f32]) -> usize {
+        let mut at = 0usize;
+        loop {
+            match &self.nodes[at] {
+                Node::Leaf { .. } => return at,
+                Node::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => {
+                    at = if x[*feature as usize] <= *threshold {
+                        *left as usize
+                    } else {
+                        *right as usize
+                    };
+                }
+            }
+        }
+    }
+
+    pub(crate) fn arena_score(&self, x: &[f32]) -> f32 {
+        match &self.nodes[self.arena_leaf(x)] {
+            Node::Leaf { counts, .. } => counts.pos_fraction() as f32,
+            Node::Split { .. } => unreachable!(),
+        }
     }
 }
 
@@ -484,6 +662,52 @@ mod tests {
         let mut imp = vec![0.0];
         t.add_importances(&mut imp);
         assert!(imp[0] > 0.0, "splits must register importance");
+    }
+
+    #[test]
+    fn serde_round_trip_rebuilds_the_walk() {
+        let cfg = cfg_small();
+        let mut rng = Xoshiro256pp::seed_from_u64(31);
+        let mut t = OnlineTree::new(2, &cfg, &mut rng);
+        let mut data_rng = Xoshiro256pp::seed_from_u64(32);
+        for _ in 0..3_000 {
+            let (a, b) = (data_rng.next_f32(), data_rng.next_f32());
+            t.update(&[a, b], (a > 0.3) != (b > 0.6), &cfg, &mut rng);
+        }
+        assert!(t.n_splits() >= 2);
+        let json = serde_json::to_string(&t).unwrap();
+        // The derived walk array is not part of the serialized shape.
+        assert!(json.starts_with(r#"{"nodes":["#), "{}", &json[..40]);
+        assert!(json.contains(r#""n_features":2,"n_splits":"#));
+        assert!(!json.contains("walk") && !json.contains("depth\":{"));
+        let back: OnlineTree = serde_json::from_str(&json).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        assert_eq!(back.walk_depth(), t.walk_depth());
+        for _ in 0..500 {
+            let x = [data_rng.range_f32(-0.5, 1.5), data_rng.range_f32(-0.5, 1.5)];
+            assert_eq!(back.leaf_of(&x), t.leaf_of(&x));
+            assert_eq!(back.score(&x).to_bits(), t.score(&x).to_bits());
+        }
+    }
+
+    #[test]
+    fn damaged_arena_is_a_load_error() {
+        let cfg = cfg_small();
+        let mut rng = Xoshiro256pp::seed_from_u64(33);
+        let mut t = OnlineTree::new(1, &cfg, &mut rng);
+        for i in 0..400 {
+            let v = (i % 100) as f32 / 100.0;
+            t.update(&[v], v > 0.5, &cfg, &mut rng);
+        }
+        assert!(t.n_splits() >= 1);
+        let json = serde_json::to_string(&t).unwrap();
+        // Point the root's left child back at the root: a cycle.
+        let bad = json.replacen(r#""left":1,"#, r#""left":0,"#, 1);
+        assert_ne!(bad, json);
+        let err = serde_json::from_str::<OnlineTree>(&bad).unwrap_err();
+        assert!(err.to_string().contains("out of order"), "{err}");
+        let empty = r#"{"nodes":[],"n_features":1,"n_splits":0,"importances":[0.0]}"#;
+        assert!(serde_json::from_str::<OnlineTree>(empty).is_err());
     }
 
     #[test]

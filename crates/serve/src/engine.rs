@@ -15,7 +15,9 @@
 //! owns its slice of the per-disk labelling queues (Algorithm 2 state) and
 //! turns raw events into labelled training samples. Labelled events flow
 //! over bounded channels into the single **model writer**, which owns the
-//! ORF and the streaming scaler.
+//! ORF and the streaming scaler. To keep the writer's per-event work small,
+//! shards also run the scaler's row pre-transform and hand events over in
+//! batches of up to [`WRITER_BATCH`] (DESIGN §8.1).
 //!
 //! # Determinism
 //!
@@ -46,13 +48,12 @@ use crate::checkpoint::{Checkpoint, CHECKPOINT_VERSION};
 use crate::epoch::EpochCell;
 use crate::fault::{FaultInjector, NoFaults};
 use crate::stats::{ServeStats, StatsReport};
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError};
 use orfpred_core::{
     AdaptiveState, Alarm, OnlineLabeller, OnlinePredictorConfig, OnlineRandomForest, ReleasedSample,
 };
 use orfpred_prep::Preprocessor;
 use orfpred_smart::gen::FleetEvent;
-use orfpred_smart::record::DiskDay;
 use orfpred_smart::scale::OnlineMinMax;
 use orfpred_smart::{DomainSchema, WindowStage};
 use orfpred_trees::FrozenForest;
@@ -184,16 +185,52 @@ enum ShardMsg {
     Shutdown(u64),
 }
 
+/// Most messages a shard hands the writer in one channel send. Shards
+/// also flush a partial batch whenever their input queue is momentarily
+/// empty and at every barrier, so a batch never waits for more traffic.
+pub const WRITER_BATCH: usize = 64;
+
+/// A training sample released by a shard's labeller, already through the
+/// scaler's pre-transform on the shard thread.
+struct ShardRelease {
+    /// Selected columns of the released row after `log1p`
+    /// ([`OnlineMinMax::pre_transform_into`]).
+    pre: Box<[f32]>,
+    positive: bool,
+    /// The raw row, kept only when the adaptation loop consumes it.
+    raw: Option<Box<[f32]>>,
+}
+
+impl ShardRelease {
+    fn new(rel: ReleasedSample, pre: &OnlineMinMax, keep_raw: bool) -> Self {
+        Self {
+            pre: pre_transform(pre, &rel.features),
+            positive: rel.positive,
+            raw: keep_raw.then_some(rel.features),
+        }
+    }
+}
+
+/// A row's scaler pre-transform in a fresh buffer.
+fn pre_transform(pre: &OnlineMinMax, row: &[f32]) -> Box<[f32]> {
+    let mut out = vec![0.0f32; pre.n_outputs()].into_boxed_slice();
+    pre.pre_transform_into(row, &mut out);
+    out
+}
+
 /// Shard-side message to the model writer.
 enum WriterMsg {
     Sample {
         seq: u64,
-        rec: Box<DiskDay>,
-        released: Option<ReleasedSample>,
+        disk_id: u32,
+        day: u16,
+        /// The fresh row's scaler pre-transform.
+        pre: Box<[f32]>,
+        released: Option<ShardRelease>,
     },
     Failure {
         seq: u64,
-        flushed: Vec<ReleasedSample>,
+        flushed: Vec<ShardRelease>,
     },
     Marker {
         seq: u64,
@@ -412,7 +449,13 @@ impl Engine {
 
         // Writer channel: big enough that every in-flight shard event plus
         // one marker per shard fits, which also bounds the reorder buffer.
-        let (wtx, wrx) = bounded::<WriterMsg>(n * cfg.queue_capacity + n);
+        // It carries batches, so its capacity in batches is that event
+        // bound divided by the batch size: events in flight never exceed it.
+        let in_flight = n * cfg.queue_capacity + n;
+        let batch = WRITER_BATCH.min(in_flight);
+        let (wtx, wrx) = bounded::<Vec<WriterMsg>>(in_flight / batch);
+        // The adaptation loop is the only writer-side consumer of raw rows.
+        let keep_raw = adaptive.is_some();
 
         let mut txs = Vec::with_capacity(n);
         let mut shard_handles = Vec::with_capacity(n);
@@ -420,13 +463,26 @@ impl Engine {
         for (idx, part) in parts.drain(..).enumerate() {
             let (tx, rx) = bounded::<ShardMsg>(cfg.queue_capacity);
             txs.push(tx);
-            let wtx = wtx.clone();
+            let out = Outbox {
+                tx: wtx.clone(),
+                batch: Vec::with_capacity(batch),
+                size: batch,
+            };
+            let pre = scaler.clone();
             let stats = Arc::clone(&stats);
             let injector = Arc::clone(&cfg.injector);
             shard_handles.push(
                 std::thread::Builder::new()
                     .name(format!("orfpred-shard-{idx}"))
-                    .spawn(move || shard_loop(idx, rx, wtx, part, &stats, &*injector))
+                    .spawn(move || {
+                        let shard = Shard {
+                            idx,
+                            labeller: part,
+                            pre,
+                            keep_raw,
+                        };
+                        shard.run(rx, out, &stats, &*injector)
+                    })
                     // lint: allow(panic_path, reason="construction-time spawn failure (OS out of threads) before any stream state exists; failing fast is the only sane recovery")
                     .expect("spawn shard thread"),
             );
@@ -747,105 +803,177 @@ impl Engine {
     }
 }
 
-/// Shard thread body: apply Algorithm 2 labelling for this shard's disks
-/// and forward every event (with any released training samples attached)
-/// to the model writer.
-///
-/// The injector hooks live here: `kill_shard` makes the thread die on the
-/// spot (labelling queues and queued events lost, exactly like a crashed
-/// thread), and `delay_to_writer` holds a labelled message back until
-/// later messages have been forwarded — injected delivery reordering the
-/// writer's sequence-number reorder buffer must absorb. Held messages are
-/// flushed before any barrier so checkpoints and shutdown never wait on an
-/// injected delay.
-fn shard_loop(
+/// A shard's outgoing batch to the model writer.
+struct Outbox {
+    tx: Sender<Vec<WriterMsg>>,
+    batch: Vec<WriterMsg>,
+    /// Flush threshold (at most [`WRITER_BATCH`]).
+    size: usize,
+}
+
+impl Outbox {
+    /// Queue one message, sending the batch once it is full. `false` once
+    /// the writer is gone.
+    fn push(&mut self, msg: WriterMsg) -> bool {
+        self.batch.push(msg);
+        self.batch.len() < self.size || self.flush()
+    }
+
+    /// Send whatever is queued. `false` once the writer is gone.
+    fn flush(&mut self) -> bool {
+        if self.batch.is_empty() {
+            return true;
+        }
+        let full = std::mem::replace(&mut self.batch, Vec::with_capacity(self.size));
+        self.tx.send(full).is_ok()
+    }
+}
+
+/// One labelling shard's state.
+struct Shard {
     idx: usize,
-    rx: Receiver<ShardMsg>,
-    wtx: Sender<WriterMsg>,
-    mut labeller: OnlineLabeller,
-    stats: &ServeStats,
-    injector: &dyn FaultInjector,
-) {
-    // Injected-delay holdback: (messages still to let pass first, message).
-    let mut held: Vec<(usize, WriterMsg)> = Vec::new();
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            ShardMsg::Event(seq, event) => {
-                // lint: allow(panic_path, reason="idx is this shard's index, always < n_shards == shard_depths.len()")
-                stats.shard_depths[idx].fetch_sub(1, Ordering::Relaxed);
-                if injector.kill_shard(idx, seq) {
-                    // Simulated shard crash: abandon the labelling queues,
-                    // the held messages, and the channel, as a real dead
-                    // thread would. The engine reports ShuttingDown on the
-                    // next ingest routed here; recovery is restore-from-
-                    // checkpoint (tests/fault_shard.rs).
-                    return;
+    labeller: OnlineLabeller,
+    /// A copy of the writer's scaler, used only for its column set and
+    /// `log1p` flag (which never change): shards pre-transform rows so the
+    /// writer only widens bounds and scales.
+    pre: OnlineMinMax,
+    /// Whether released samples keep their raw rows for the adaptation loop.
+    keep_raw: bool,
+}
+
+impl Shard {
+    /// Shard thread body: apply Algorithm 2 labelling for this shard's
+    /// disks and forward every event (pre-transformed, with any released
+    /// training samples attached) to the model writer, in batches flushed
+    /// when full, when the input queue is momentarily empty, and at every
+    /// barrier.
+    ///
+    /// The injector hooks live here: `kill_shard` makes the thread die on
+    /// the spot (labelling queues, queued events and the unsent batch lost,
+    /// exactly like a crashed thread), and `delay_to_writer` holds a
+    /// labelled message back until later messages have been forwarded —
+    /// injected delivery reordering the writer's sequence-number reorder
+    /// buffer must absorb. Held messages are flushed before any barrier so
+    /// checkpoints and shutdown never wait on an injected delay.
+    fn run(
+        mut self,
+        rx: Receiver<ShardMsg>,
+        mut out: Outbox,
+        stats: &ServeStats,
+        injector: &dyn FaultInjector,
+    ) {
+        // Injected-delay holdback: (messages still to let pass first, message).
+        let mut held: Vec<(usize, WriterMsg)> = Vec::new();
+        loop {
+            let msg = if out.batch.is_empty() {
+                match rx.recv() {
+                    Ok(m) => m,
+                    Err(_) => return,
                 }
-                let out = match *event {
-                    FleetEvent::Sample(rec) => {
-                        let released = labeller.observe_sample(rec.disk_id, rec.day, &rec.features);
-                        WriterMsg::Sample {
-                            seq,
-                            rec: Box::new(rec),
-                            released,
-                        }
-                    }
-                    FleetEvent::Failure { disk_id, .. } => WriterMsg::Failure {
-                        seq,
-                        flushed: labeller.observe_failure(disk_id),
-                    },
-                };
-                let delay = injector.delay_to_writer(idx, seq);
-                if delay > 0 {
-                    held.push((delay, out));
-                } else if wtx.send(out).is_err() {
-                    return; // writer is gone; nothing left to do
-                }
-                // One more message has gone past (or joined the holdback):
-                // tick every held entry and release the expired ones.
-                let mut i = 0;
-                while i < held.len() {
-                    // lint: allow(panic_path, reason="i < held.len() is the loop condition; remove() below re-checks it")
-                    held[i].0 -= 1;
-                    // lint: allow(panic_path, reason="i < held.len() is the loop condition and i is not advanced since the check")
-                    if held[i].0 == 0 {
-                        let (_, m) = held.remove(i);
-                        if wtx.send(m).is_err() {
+            } else {
+                match rx.try_recv() {
+                    Ok(m) => m,
+                    // Nothing waiting: hand the writer what we have now
+                    // rather than stall it until the next event arrives.
+                    Err(TryRecvError::Empty) => {
+                        if !out.flush() {
                             return;
                         }
-                    } else {
-                        i += 1;
+                        continue;
                     }
-                }
-            }
-            ShardMsg::Checkpoint(seq) => {
-                for (_, m) in held.drain(..) {
-                    if wtx.send(m).is_err() {
+                    Err(TryRecvError::Disconnected) => {
+                        out.flush();
                         return;
                     }
                 }
-                let marker = WriterMsg::Marker {
-                    seq,
-                    labeller: labeller.clone(),
-                    shutdown: false,
-                };
-                if wtx.send(marker).is_err() {
+            };
+            match msg {
+                ShardMsg::Event(seq, event) => {
+                    stats.shard_depths[self.idx].fetch_sub(1, Ordering::Relaxed);
+                    if injector.kill_shard(self.idx, seq) {
+                        // Simulated shard crash: abandon the labelling
+                        // queues, the held messages, the unsent batch and
+                        // the channel, as a real dead thread would. The
+                        // engine reports ShuttingDown on the next ingest
+                        // routed here; recovery is restore-from-checkpoint
+                        // (tests/fault_shard.rs).
+                        return;
+                    }
+                    let msg = self.label(seq, *event);
+                    let delay = injector.delay_to_writer(self.idx, seq);
+                    if delay > 0 {
+                        held.push((delay, msg));
+                    } else if !out.push(msg) {
+                        return; // writer is gone; nothing left to do
+                    }
+                    // One more message has gone past (or joined the
+                    // holdback): tick every held entry and release the
+                    // expired ones.
+                    let mut i = 0;
+                    while i < held.len() {
+                        // lint: allow(panic_path, reason="i < held.len() is the loop condition; remove() below re-checks it")
+                        held[i].0 -= 1;
+                        // lint: allow(panic_path, reason="i < held.len() is the loop condition and i is not advanced since the check")
+                        if held[i].0 == 0 {
+                            let (_, m) = held.remove(i);
+                            if !out.push(m) {
+                                return;
+                            }
+                        } else {
+                            i += 1;
+                        }
+                    }
+                }
+                ShardMsg::Checkpoint(seq) => {
+                    out.batch.extend(held.drain(..).map(|(_, m)| m));
+                    out.batch.push(WriterMsg::Marker {
+                        seq,
+                        labeller: self.labeller.clone(),
+                        shutdown: false,
+                    });
+                    if !out.flush() {
+                        return;
+                    }
+                }
+                ShardMsg::Shutdown(seq) => {
+                    out.batch.extend(held.drain(..).map(|(_, m)| m));
+                    out.batch.push(WriterMsg::Marker {
+                        seq,
+                        labeller: self.labeller,
+                        shutdown: true,
+                    });
+                    out.flush();
                     return;
                 }
             }
-            ShardMsg::Shutdown(seq) => {
-                for (_, m) in held.drain(..) {
-                    if wtx.send(m).is_err() {
-                        return;
-                    }
-                }
-                let _ = wtx.send(WriterMsg::Marker {
+        }
+    }
+
+    /// Label one event and pre-transform its rows for the writer.
+    fn label(&mut self, seq: u64, event: FleetEvent) -> WriterMsg {
+        match event {
+            FleetEvent::Sample(rec) => {
+                let released = self
+                    .labeller
+                    .observe_sample(rec.disk_id, rec.day, &rec.features)
+                    .map(|rel| ShardRelease::new(rel, &self.pre, self.keep_raw));
+                WriterMsg::Sample {
                     seq,
-                    labeller,
-                    shutdown: true,
-                });
-                return;
+                    disk_id: rec.disk_id,
+                    day: rec.day,
+                    pre: pre_transform(&self.pre, &rec.features),
+                    released,
+                }
             }
+            FleetEvent::Failure { disk_id, .. } => WriterMsg::Failure {
+                seq,
+                flushed: self
+                    .labeller
+                    .observe_failure(disk_id)
+                    .into_iter()
+                    .map(|rel| ShardRelease::new(rel, &self.pre, self.keep_raw))
+                    .collect(),
+            },
         }
     }
 }
@@ -853,7 +981,7 @@ fn shard_loop(
 /// The model writer: single owner of the ORF and scaler, applying events
 /// in global sequence order.
 struct WriterThread {
-    rx: Receiver<WriterMsg>,
+    rx: Receiver<Vec<WriterMsg>>,
     /// The engine's resolved domain, embedded in every checkpoint so a
     /// restore against a different domain fails its fingerprint check.
     schema: DomainSchema,
@@ -887,33 +1015,38 @@ impl WriterThread {
             // Pull until the next contiguous sequence number is buffered.
             while heap.peek().map(|m| m.0.seq()) != Some(self.next_seq) {
                 match self.rx.recv() {
-                    Ok(m) => heap.push(BySeq(m)),
+                    Ok(batch) => heap.extend(batch.into_iter().map(BySeq)),
                     Err(_) => break 'main, // all shards gone
                 }
             }
             // lint: allow(panic_path, reason="the pull loop above only exits with the heap head at next_seq, so pop() is Some")
             match heap.pop().expect("peeked").0 {
-                WriterMsg::Sample { rec, released, .. } => {
+                WriterMsg::Sample {
+                    disk_id,
+                    day,
+                    pre,
+                    released,
+                    ..
+                } => {
                     // Exactly OnlinePredictor::observe_sample's order:
                     // widen scaler → train on released (adaptation hook
                     // after the forest update, so a rebuild is visible to
-                    // this event's own score) → score fresh row.
-                    self.scaler.update(&rec.features);
+                    // this event's own score) → score fresh row. The shard
+                    // already ran the pre-transform half of each step.
+                    self.scaler.widen(&pre);
                     if let Some(rel) = released {
-                        self.scaler.transform_into(&rel.features, &mut scratch);
-                        self.forest.update(&scratch, rel.positive);
-                        self.adapt_released(&rel.features, rel.positive);
+                        self.apply_released(rel, &mut scratch);
                     }
                     let t0 = Instant::now();
-                    self.scaler.transform_into(&rec.features, &mut scratch);
+                    self.scaler.scale_into(&pre, &mut scratch);
                     let score = self.forest.score(&scratch);
                     self.stats.score_latency.record(t0.elapsed());
                     if score >= self.alarm_threshold {
                         self.alarms_raised += 1;
                         self.stats.alarms_raised.fetch_add(1, Ordering::Relaxed);
                         let alarm = Alarm {
-                            disk_id: rec.disk_id,
-                            day: rec.day,
+                            disk_id,
+                            day,
                             score,
                         };
                         alarms.push(alarm);
@@ -926,9 +1059,7 @@ impl WriterThread {
                 }
                 WriterMsg::Failure { flushed, .. } => {
                     for rel in flushed {
-                        self.scaler.transform_into(&rel.features, &mut scratch);
-                        self.forest.update(&scratch, true);
-                        self.adapt_released(&rel.features, true);
+                        self.apply_released(rel, &mut scratch);
                     }
                 }
                 WriterMsg::Marker {
@@ -961,10 +1092,21 @@ impl WriterThread {
         }
     }
 
+    /// Train on one released sample: scale it, update the forest, then run
+    /// the adaptation hook.
+    fn apply_released(&mut self, rel: ShardRelease, scratch: &mut [f32]) {
+        self.scaler.scale_into(&rel.pre, scratch);
+        self.forest.update(scratch, rel.positive);
+        if let Some(raw) = rel.raw {
+            self.adapt_released(&raw, rel.positive);
+        }
+    }
+
     /// Feed one released training sample (raw features + final label) to
     /// the adaptation loop; on a declared shift, run the update policy and
     /// publish the rebuilt model immediately so the lock-free scoring path
-    /// sees it without waiting for the next scheduled snapshot.
+    /// sees it without waiting for the next scheduled snapshot. Shards keep
+    /// the raw row exactly when the loop is configured.
     fn adapt_released(&mut self, features: &[f32], positive: bool) {
         let Some(adaptive) = self.adaptive.as_mut() else {
             return;
@@ -1001,7 +1143,7 @@ impl WriterThread {
                 }
             } else {
                 match self.rx.recv() {
-                    Ok(m) => heap.push(BySeq(m)),
+                    Ok(batch) => heap.extend(batch.into_iter().map(BySeq)),
                     Err(_) => break, // shards died mid-barrier; best effort
                 }
             }
@@ -1076,6 +1218,7 @@ impl WriterThread {
 mod tests {
     use super::*;
     use orfpred_smart::attrs::N_FEATURES;
+    use orfpred_smart::record::DiskDay;
 
     fn cfg(n_shards: usize) -> ServeConfig {
         let mut p = OnlinePredictorConfig::new(vec![0, 1, 2], 9);

@@ -38,7 +38,9 @@ pub mod stats;
 
 pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_VERSION};
 pub use daemon::{run, DaemonConfig};
-pub use engine::{shard_of, Engine, Finished, ModelSnapshot, ServeConfig, ServeError};
+pub use engine::{
+    shard_of, Engine, Finished, ModelSnapshot, ServeConfig, ServeError, WRITER_BATCH,
+};
 pub use epoch::EpochCell;
 pub use fault::{CheckpointFault, FaultInjector, NoFaults};
 pub use protocol::{pad_features, ProtocolError, Request, Response, MAX_FRAME_LEN};

@@ -186,20 +186,77 @@ impl OnlineMinMax {
         }
     }
 
+    /// The pre-transform of one raw value: `log1p_pos` when enabled.
+    #[inline]
+    fn pre(&self, x: f32) -> f32 {
+        if self.log1p {
+            log1p_pos(x)
+        } else {
+            x
+        }
+    }
+
+    /// Fold one pre-transformed value of output column `j` into the bounds.
+    #[inline]
+    fn widen_one(&mut self, j: usize, v: f32) {
+        if v < self.min[j] {
+            self.min[j] = v;
+        }
+        if v > self.max[j] {
+            self.max[j] = v;
+        }
+    }
+
+    /// Scale one pre-transformed value of output column `j` with the
+    /// current bounds (clamped to `[0, 1]`; a degenerate span maps to 0).
+    #[inline]
+    fn scale_one(&self, j: usize, v: f32) -> f32 {
+        let span = self.max[j] - self.min[j];
+        if span > 0.0 && span.is_finite() {
+            ((v - self.min[j]) / span).clamp(0.0, 1.0)
+        } else {
+            0.0
+        }
+    }
+
+    /// First half of [`Self::transform_into`]: select this scaler's columns
+    /// from a full row and apply the `log1p` pre-transform when enabled.
+    /// Reads only the column set, never the bounds, so it can run on any
+    /// thread holding a copy of the scaler, ahead of [`Self::widen`] and
+    /// [`Self::scale_into`].
+    pub fn pre_transform_into(&self, row: &[f32], out: &mut [f32]) {
+        assert_eq!(out.len(), self.cols.len());
+        for (o, &c) in out.iter_mut().zip(&self.cols) {
+            *o = self.pre(row[c]);
+        }
+    }
+
+    /// [`Self::update`] on a row already through
+    /// [`Self::pre_transform_into`].
+    pub fn widen(&mut self, pre: &[f32]) {
+        assert_eq!(pre.len(), self.cols.len());
+        for (j, &v) in pre.iter().enumerate() {
+            self.widen_one(j, v);
+        }
+        self.seen += 1;
+    }
+
+    /// Second half of [`Self::transform_into`]: scale a row already through
+    /// [`Self::pre_transform_into`] with the current bounds. The two halves
+    /// compute exactly what `transform_into` does, bit for bit.
+    pub fn scale_into(&self, pre: &[f32], out: &mut [f32]) {
+        assert_eq!(pre.len(), self.cols.len());
+        assert_eq!(out.len(), self.cols.len());
+        for (j, (o, &v)) in out.iter_mut().zip(pre).enumerate() {
+            *o = self.scale_one(j, v);
+        }
+    }
+
     /// Widen bounds with one observed row.
     pub fn update(&mut self, row: &[f32]) {
-        for (j, &c) in self.cols.iter().enumerate() {
-            let v = if self.log1p {
-                log1p_pos(row[c])
-            } else {
-                row[c]
-            };
-            if v < self.min[j] {
-                self.min[j] = v;
-            }
-            if v > self.max[j] {
-                self.max[j] = v;
-            }
+        for j in 0..self.cols.len() {
+            let v = self.pre(row[self.cols[j]]);
+            self.widen_one(j, v);
         }
         self.seen += 1;
     }
@@ -217,18 +274,8 @@ impl OnlineMinMax {
     /// Transform with the current bounds (clamped to `[0, 1]`).
     pub fn transform_into(&self, row: &[f32], out: &mut [f32]) {
         assert_eq!(out.len(), self.cols.len());
-        for (j, &c) in self.cols.iter().enumerate() {
-            let v = if self.log1p {
-                log1p_pos(row[c])
-            } else {
-                row[c]
-            };
-            let span = self.max[j] - self.min[j];
-            out[j] = if span > 0.0 && span.is_finite() {
-                ((v - self.min[j]) / span).clamp(0.0, 1.0)
-            } else {
-                0.0
-            };
+        for (j, (o, &c)) in out.iter_mut().zip(&self.cols).enumerate() {
+            *o = self.scale_one(j, self.pre(row[c]));
         }
     }
 
@@ -253,16 +300,8 @@ impl OnlineMinMax {
             .map(|(j, &c)| {
                 let col = input[c];
                 assert_eq!(col.len(), n, "ragged input columns");
-                let span = self.max[j] - self.min[j];
                 col.iter()
-                    .map(|&x| {
-                        let v = if self.log1p { log1p_pos(x) } else { x };
-                        if span > 0.0 && span.is_finite() {
-                            ((v - self.min[j]) / span).clamp(0.0, 1.0)
-                        } else {
-                            0.0
-                        }
-                    })
+                    .map(|&x| self.scale_one(j, self.pre(x)))
                     .collect()
             })
             .collect()
@@ -373,6 +412,40 @@ mod tests {
                     assert_eq!(scaled[j][i].to_bits(), w.to_bits(), "row {i} out {j}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn split_api_matches_update_and_transform_bitwise() {
+        let rows: Vec<[f32; 3]> = vec![
+            [0.0, 5.0, 9.9],
+            [10.0, -7.0, 0.3],
+            [f32::NAN, 2.0, 1e6],
+            [f32::INFINITY, f32::NEG_INFINITY, 0.0],
+            [7.25, 6.0, -0.0],
+        ];
+        for (mut whole, mut split) in [
+            (OnlineMinMax::new(&[2, 0]), OnlineMinMax::new(&[2, 0])),
+            (
+                OnlineMinMax::new_log1p(&[1, 2, 0]),
+                OnlineMinMax::new_log1p(&[1, 2, 0]),
+            ),
+        ] {
+            let n = whole.n_outputs();
+            let (mut pre, mut a, mut b) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+            for r in &rows {
+                whole.update(r);
+                split.pre_transform_into(r, &mut pre);
+                split.widen(&pre);
+                for probe in &rows {
+                    whole.transform_into(probe, &mut a);
+                    split.pre_transform_into(probe, &mut pre);
+                    split.scale_into(&pre, &mut b);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&a), bits(&b));
+                }
+            }
+            assert_eq!(whole.seen(), split.seen());
         }
     }
 

@@ -25,21 +25,7 @@ pub fn poisson(rng: &mut Xoshiro256pp, lambda: f64) -> u32 {
         return 0;
     }
     if lambda <= 30.0 {
-        // Knuth: multiply uniforms until the product drops below e^-λ.
-        let l = (-lambda).exp();
-        let mut k = 0u32;
-        let mut p = 1.0;
-        loop {
-            p *= rng.next_f64();
-            if p <= l {
-                return k;
-            }
-            k += 1;
-            // Numerical guard: p can underflow to 0 only if k is huge.
-            if k > 10_000 {
-                return k;
-            }
-        }
+        return poisson_knuth(rng, (-lambda).exp());
     }
     // Normal approximation with continuity correction, adequate for λ > 30.
     let x = normal(rng, lambda, lambda.sqrt());
@@ -47,6 +33,32 @@ pub fn poisson(rng: &mut Xoshiro256pp, lambda: f64) -> u32 {
         0
     } else {
         (x + 0.5) as u32
+    }
+}
+
+/// Knuth's product method for `Poisson(λ)`, given `exp_neg_lambda = e^-λ`
+/// precomputed by the caller.
+///
+/// Multiplies uniforms until the product drops to `e^-λ` or below. For
+/// `0 < λ ≤ 30` this is exactly the branch [`poisson`] takes, so
+/// `poisson_knuth(rng, (-λ).exp())` returns the same count and leaves the
+/// generator in the same state. Hot loops that draw many times at one `λ`
+/// (online bagging draws once per tree per sample) hoist the `exp` out.
+/// Unlike [`poisson`], `λ = 0` (`e^-λ = 1`) still consumes one draw.
+#[inline]
+pub fn poisson_knuth(rng: &mut Xoshiro256pp, exp_neg_lambda: f64) -> u32 {
+    let mut k = 0u32;
+    let mut p = 1.0;
+    loop {
+        p *= rng.next_f64();
+        if p <= exp_neg_lambda {
+            return k;
+        }
+        k += 1;
+        // Numerical guard: p can underflow to 0 only if k is huge.
+        if k > 10_000 {
+            return k;
+        }
     }
 }
 

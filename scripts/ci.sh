@@ -48,8 +48,13 @@ cargo bench -p orfpred-bench --bench prep --no-run
 cargo bench -p orfpred-bench --bench score --no-run
 cargo bench -p orfpred-bench --bench fleet --no-run
 
-echo "== tier-1: full test suite =="
-cargo test -q
+echo "== tier-1: full test suite (every workspace crate) =="
+cargo test -q --workspace
+
+echo "== perfbench: the benchmark's own tests (it links the public API) =="
+# perfbench is its own cargo workspace; building its tests catches a
+# public-API change that would break the end-to-end benchmark.
+cargo test -q --manifest-path perfbench/Cargo.toml
 
 echo "== fault suites (TESTKIT_SEEDS=$TESTKIT_SEEDS) =="
 cargo test -q \

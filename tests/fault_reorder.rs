@@ -5,6 +5,7 @@
 //! checkpoints and shutdown never wait on a delayed delivery.
 
 use orfpred::core::OnlinePredictorConfig;
+use orfpred::serve::WRITER_BATCH;
 use orfpred::smart::attrs::table2_feature_columns;
 use orfpred::smart::gen::{FleetConfig, FleetEvent, FleetSim, ScalePreset};
 use orfpred_testkit::{
@@ -85,6 +86,23 @@ fn delays_straddling_a_checkpoint_barrier_are_flushed_first() {
         2302,
         3,
         &[(745, 40), (746, 40), (747, 40), (748, 40), (749, 40)],
+    );
+}
+
+#[test]
+fn delays_held_across_batch_flushes_are_flushed_at_the_barrier() {
+    // Shards hand the writer batches of up to WRITER_BATCH messages. Park
+    // the delays four batches before the first barrier (750 events) with
+    // holdbacks of six batches: their shards flush several batches while
+    // the messages are held, and the checkpoint barrier cuts before the
+    // holdbacks expire, so only the barrier flush releases them.
+    let b = WRITER_BATCH;
+    let at = 750 - 4 * b;
+    run_delay_case(
+        "batch",
+        2305,
+        2,
+        &[(at, 6 * b), (at + 1, 6 * b + 1), (at + 2, 6 * b)],
     );
 }
 

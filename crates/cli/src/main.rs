@@ -54,18 +54,21 @@
 //!   aging;
 //! * `assess` trains a multi-level health assessor and triages every disk's
 //!   latest snapshot into act-now / schedule / healthy bands;
-//! * `serve` runs the sharded online serving engine on stdin/stdout (and
+//! * `serve` runs the fleet serving daemon on stdin/stdout (and
 //!   optionally a TCP listener) — the same daemon as the `orfpredd`
-//!   binary; see `README.md` ("Serving") for the line protocol. `--prep`
-//!   arms the telemetry repair stage (imputation, range/stuck-at checks,
-//!   duplicate handling, failure re-checks; the extra knobs tune it), and
-//!   `--drift-policy` closes the loop: a detected distribution shift in
-//!   the released healthy population triggers the chosen long-term update
-//!   policy live, republishing the model through the snapshot path. One or
-//!   more `--tenant name[,key=value]...` flags switch to the multi-tenant
-//!   fleet daemon instead (per-tenant engines, request routing by the
-//!   `"tenant"` field, the ORFB binary wire protocol, live resharding);
-//!   see `README.md` ("Serving a fleet of models").
+//!   binary; see `README.md` ("Serving") for the line protocol. Without
+//!   `--tenant` flags it hosts one tenant named `default`, built from the
+//!   single-tenant flags: `--prep` arms the telemetry repair stage
+//!   (imputation, range/stuck-at checks, duplicate handling, failure
+//!   re-checks; the extra knobs tune it), and `--drift-policy` closes the
+//!   loop: a detected distribution shift in the released healthy
+//!   population triggers the chosen long-term update policy live,
+//!   republishing the model through the snapshot path. One or more
+//!   `--tenant name[,key=value]...` flags name the tenants instead, and
+//!   the single-tenant flags are ignored (per-tenant engines, request
+//!   routing by the `"tenant"` field); both modes speak the ORFB binary
+//!   wire protocol and reshard live. See `README.md` ("Serving a fleet of
+//!   models").
 
 use std::io::BufReader;
 use std::process::ExitCode;
@@ -627,39 +630,57 @@ fn assess(argv: &[String]) -> Result<(), String> {
 }
 
 fn serve(argv: &[String]) -> Result<(), String> {
-    use orfpred_core::{AdaptConfig, OnlinePredictorConfig, UpdatePolicy};
-    use orfpred_serve::{DaemonConfig, ServeConfig};
-
     let args = Args::parse(argv, &["prep"])?;
 
-    // One or more --tenant specs select the multi-tenant fleet daemon;
-    // the single-tenant tuning flags below are ignored in that mode (each
-    // tenant carries its own knobs in its spec).
+    // One or more --tenant specs name the tenants, each carrying its own
+    // knobs in its spec; without them the single-tenant flags build one
+    // tenant. Either way one fleet daemon serves them.
     let tenant_specs = args.get_all("tenant");
-    if !tenant_specs.is_empty() {
+    // Without --tenant, TCP connections are probes and stdout carries
+    // every alarm.
+    let alarms_to_primary = tenant_specs.is_empty();
+    let tenants = if alarms_to_primary {
+        vec![default_tenant(&args)?]
+    } else {
         let mut tenants = Vec::new();
         for spec in tenant_specs {
             tenants.push(orfpred_fleet::parse_tenant_spec(spec)?);
         }
-        let mut cfg = orfpred_fleet::FleetDaemonConfig::new(tenants);
-        cfg.listen = args.get("listen").map(str::to_string);
-        let stdin = std::io::stdin();
-        let stdout = std::io::stdout();
-        let fins = orfpred_fleet::run(&cfg, stdin.lock(), stdout.lock())?;
-        eprintln!("serve: clean shutdown, {} tenants", fins.len());
-        for f in &fins {
-            eprintln!(
-                "serve: tenant `{}`: {} events, {} alarms, {} drift events, {} rebuilds, {} reshards",
-                f.tenant,
-                f.counters.events,
-                f.counters.alarms,
-                f.counters.drift_events,
-                f.counters.model_rebuilds,
-                f.counters.reshards,
-            );
+        tenants
+    };
+    let mut cfg = orfpred_fleet::FleetDaemonConfig::new(tenants);
+    cfg.listen = args.get("listen").map(str::to_string);
+    cfg.alarms_to_primary = alarms_to_primary;
+    let stdin = std::io::stdin();
+    let stdout = std::io::stdout();
+    let fins = orfpred_fleet::run(&cfg, stdin.lock(), stdout.lock())?;
+    eprintln!("serve: clean shutdown, {} tenants", fins.len());
+    for f in &fins {
+        eprintln!(
+            "serve: tenant `{}`: {} events, {} alarms, {} drift events, {} rebuilds, {} reshards",
+            f.tenant,
+            f.counters.events,
+            f.counters.alarms,
+            f.counters.drift_events,
+            f.counters.model_rebuilds,
+            f.counters.reshards,
+        );
+        // lint: allow(checkpoint_coverage, reason="read-only peek at the optional repair-stage report for shutdown logging; restore completeness is enforced at Engine::restore")
+        let orfpred_serve::Checkpoint::Online { prep, .. } = &f.checkpoint;
+        if let Some(p) = prep {
+            eprintln!("{}", p.counters().render());
         }
-        return Ok(());
     }
+    Ok(())
+}
+
+/// The tenant `orfpred serve` runs without `--tenant` flags, named
+/// [`orfpred_fleet::DEFAULT_TENANT`] and built from the single-tenant
+/// flags (predictor, repair stage, drift policy, serving knobs, checkpoint
+/// and store paths).
+fn default_tenant(args: &Args) -> Result<orfpred_fleet::TenantConfig, String> {
+    use orfpred_core::{AdaptConfig, OnlinePredictorConfig, UpdatePolicy};
+    use orfpred_serve::ServeConfig;
 
     let mut predictor = OnlinePredictorConfig::new(
         orfpred_smart::attrs::table2_feature_columns(),
@@ -713,32 +734,12 @@ fn serve(argv: &[String]) -> Result<(), String> {
     if serve.n_shards == 0 {
         return Err("--shards must be at least 1".into());
     }
-    let cfg = DaemonConfig {
+    Ok(orfpred_fleet::TenantConfig {
+        name: orfpred_fleet::DEFAULT_TENANT.into(),
         serve,
-        listen: args.get("listen").map(str::to_string),
         checkpoint_path: args.get("checkpoint").map(std::path::PathBuf::from),
         catchup_store: args.get("store").map(std::path::PathBuf::from),
-    };
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let finished = orfpred_serve::daemon::run(&cfg, stdin.lock(), stdout.lock())?;
-    eprintln!(
-        "serve: clean shutdown, {} alarms in stream",
-        finished.alarms.len()
-    );
-    // lint: allow(checkpoint_coverage, reason="read-only peek at two optional reports for shutdown logging; restore completeness is enforced at Engine::restore")
-    let orfpred_serve::Checkpoint::Online { prep, adapt, .. } = &finished.checkpoint;
-    if let Some(p) = prep {
-        eprintln!("{}", p.counters().render());
-    }
-    if let Some(ad) = adapt {
-        eprintln!(
-            "serve: {} drift events, {} model rebuilds",
-            ad.drift_events(),
-            ad.rebuilds()
-        );
-    }
-    Ok(())
+    })
 }
 
 /// `orfpred faultsim --seed N [--size Z] [--cases K]`: run the seeded

@@ -1,16 +1,15 @@
 //! `orfpredd` — the ORF serving daemon.
 //!
-//! Without `--tenant` flags this is the classic single-tenant daemon:
-//! line-delimited JSON protocol events on stdin, alarms and replies on
-//! stdout, optional TCP listener, atomic checkpoints (see `README.md`,
-//! "Serving").
+//! Every run is a fleet daemon (`orfpred_fleet::run`): each tenant is an
+//! independent engine (own domain schema, shard count, checkpoint lineage,
+//! store catch-up cursor), JSON requests route by their `"tenant"` field,
+//! and connections — stdin included — may open a compact binary session
+//! instead by leading with the `ORFB` magic. Tenants can be live-resharded
+//! without restart via `reshard` requests.
 //!
-//! With one or more `--tenant` flags it becomes the multi-tenant fleet
-//! daemon: each tenant is an independent engine (own domain schema, shard
-//! count, checkpoint lineage, store catch-up cursor), JSON requests route
-//! by their `"tenant"` field, and connections — stdin included — may open
-//! a compact binary session instead by leading with the `ORFB` magic.
-//! Tenants can be live-resharded without restart via `reshard` requests.
+//! One or more `--tenant` flags name the tenants. Without them the
+//! single-tenant flags build one tenant named `default`, and requests
+//! need not name it (see `README.md`, "Serving").
 //!
 //! ```text
 //! orfpredd [--shards N] [--listen ADDR] [--checkpoint PATH]
@@ -20,14 +19,21 @@
 //! ```
 
 use orfpred_core::OnlinePredictorConfig;
-use orfpred_fleet::{parse_tenant_spec, FleetDaemonConfig, TenantFinished};
-use orfpred_serve::{DaemonConfig, ServeConfig};
+use orfpred_fleet::{
+    parse_tenant_spec, FleetDaemonConfig, TenantConfig, TenantFinished, DEFAULT_TENANT,
+};
+use orfpred_serve::ServeConfig;
 use orfpred_smart::attrs::table2_feature_columns;
 use std::io::Write;
 use std::path::PathBuf;
 
 const USAGE: &str = "\
 orfpredd — sharded online disk-failure-prediction daemon
+
+Serves line-JSON requests on stdin/stdout (and --listen); any connection,
+stdin included, may open a binary session by leading with the ORFB magic.
+Without --tenant flags the single-tenant options below build one tenant
+named `default`, and requests need not name it.
 
 USAGE:
     orfpredd [OPTIONS]
@@ -38,7 +44,8 @@ SINGLE-TENANT OPTIONS:
                          on shutdown and on path-less checkpoint requests
     --store DIR          replay the telemetry store at DIR before going
                          live, skipping events the restored checkpoint
-                         already covers
+                         already covers; a store recorded under another
+                         domain schema is refused
     --threshold T        alarm threshold (default 0.5)
     --window W           labelling window W in days (default 7)
     --seed S             forest RNG seed (default 42)
@@ -53,10 +60,8 @@ FLEET OPTIONS:
                          smart-windowed|mce), shards, threshold, window,
                          seed, trees, queue, snapshot, store, checkpoint,
                          cols=i:j:k. With --tenant flags the single-tenant
-                         options above are ignored; requests route by
-                         their \"tenant\" field, and any connection
-                         (stdin included) may open a binary session by
-                         leading with the ORFB magic.
+                         options above are ignored and requests route by
+                         their \"tenant\" field.
 
 SHARED OPTIONS:
     --listen ADDR        also serve the protocol on this TCP address
@@ -70,14 +75,7 @@ fn parse<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, S
         .map_err(|_| format!("{flag}: invalid value"))
 }
 
-/// Which daemon the arguments select (the single-tenant config is boxed —
-/// it inlines a full predictor config and dwarfs the fleet variant).
-enum Daemon {
-    Single(Box<DaemonConfig>),
-    Fleet(FleetDaemonConfig),
-}
-
-fn build_config(mut argv: impl Iterator<Item = String>) -> Result<Daemon, String> {
+fn build_config(mut argv: impl Iterator<Item = String>) -> Result<FleetDaemonConfig, String> {
     let mut predictor = OnlinePredictorConfig::new(table2_feature_columns(), 42);
     let mut serve = ServeConfig::new(predictor.clone());
     let mut listen = None;
@@ -119,21 +117,25 @@ fn build_config(mut argv: impl Iterator<Item = String>) -> Result<Daemon, String
         }
     }
 
-    if !tenants.is_empty() {
-        let mut cfg = FleetDaemonConfig::new(tenants);
-        cfg.listen = listen;
-        return Ok(Daemon::Fleet(cfg));
+    // Without --tenant, TCP connections are probes and stdout carries
+    // every alarm.
+    let alarms_to_primary = tenants.is_empty();
+    if alarms_to_primary {
+        if serve.n_shards == 0 {
+            return Err("--shards must be at least 1".into());
+        }
+        serve.predictor = predictor;
+        tenants.push(TenantConfig {
+            name: DEFAULT_TENANT.into(),
+            serve,
+            checkpoint_path,
+            catchup_store,
+        });
     }
-    if serve.n_shards == 0 {
-        return Err("--shards must be at least 1".into());
-    }
-    serve.predictor = predictor;
-    Ok(Daemon::Single(Box::new(DaemonConfig {
-        serve,
-        listen,
-        checkpoint_path,
-        catchup_store,
-    })))
+    let mut cfg = FleetDaemonConfig::new(tenants);
+    cfg.listen = listen;
+    cfg.alarms_to_primary = alarms_to_primary;
+    Ok(cfg)
 }
 
 /// The per-tenant shutdown report written to stderr (one line per tenant).
@@ -164,31 +166,14 @@ fn main() {
     };
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
-    match cfg {
-        Daemon::Single(cfg) => {
-            match orfpred_serve::daemon::run(&cfg, stdin.lock(), stdout.lock()) {
-                Ok(finished) => {
-                    let stats = format!(
-                        "orfpredd: clean shutdown, {} alarms in stream",
-                        finished.alarms.len()
-                    );
-                    let _ = writeln!(std::io::stderr(), "{stats}");
-                }
-                Err(e) => {
-                    eprintln!("orfpredd: {e}");
-                    std::process::exit(1);
-                }
-            }
+    match orfpred_fleet::run(&cfg, stdin.lock(), stdout.lock()) {
+        Ok(fins) => {
+            let _ = write!(std::io::stderr(), "{}", fleet_summary(&fins));
         }
-        Daemon::Fleet(cfg) => match orfpred_fleet::run(&cfg, stdin.lock(), stdout.lock()) {
-            Ok(fins) => {
-                let _ = write!(std::io::stderr(), "{}", fleet_summary(&fins));
-            }
-            Err(e) => {
-                eprintln!("orfpredd: {e}");
-                std::process::exit(1);
-            }
-        },
+        Err(e) => {
+            eprintln!("orfpredd: {e}");
+            std::process::exit(1);
+        }
     }
 }
 
@@ -203,47 +188,79 @@ mod tests {
             .into_iter()
     }
 
+    /// The single tenant `cfg` hosts; panics when it hosts several.
+    fn only_tenant(cfg: &FleetDaemonConfig) -> &TenantConfig {
+        let [only] = cfg.tenants.as_slice() else {
+            panic!("expected exactly one tenant, got {}", cfg.tenants.len());
+        };
+        only
+    }
+
     #[test]
     fn defaults_and_overrides_parse() {
-        let Daemon::Single(cfg) = build_config(args(&[])).unwrap() else {
-            panic!("no --tenant flags means the single-tenant daemon");
-        };
-        assert_eq!(cfg.serve.n_shards, 4);
+        let cfg = build_config(args(&[])).unwrap();
+        let t = only_tenant(&cfg);
+        assert_eq!(t.name, DEFAULT_TENANT);
         assert!(cfg.listen.is_none());
+        assert!(t.checkpoint_path.is_none() && t.catchup_store.is_none());
+        // The implicit tenant runs exactly the engine a bare `orfpredd`
+        // always ran: the Table-2 SMART predictor, seed 42, stock serving
+        // knobs.
+        let stock = ServeConfig::new(OnlinePredictorConfig::new(table2_feature_columns(), 42));
+        assert_eq!(format!("{:?}", t.serve), format!("{stock:?}"));
 
-        let Daemon::Single(cfg) = build_config(args(&[
+        let cfg = build_config(args(&[
             "--shards",
             "8",
             "--threshold",
             "0.7",
+            "--window",
+            "5",
+            "--seed",
+            "9",
+            "--trees",
+            "12",
+            "--queue-capacity",
+            "64",
+            "--snapshot-every",
+            "32",
             "--checkpoint",
             "/tmp/ck.json",
+            "--store",
+            "/data/store",
             "--listen",
             "127.0.0.1:7077",
         ]))
-        .unwrap() else {
-            panic!("still single-tenant");
-        };
-        assert_eq!(cfg.serve.n_shards, 8);
-        assert_eq!(cfg.serve.predictor.alarm_threshold, 0.7);
+        .unwrap();
+        let t = only_tenant(&cfg);
+        let mut predictor = OnlinePredictorConfig::new(table2_feature_columns(), 9);
+        predictor.alarm_threshold = 0.7;
+        predictor.window_days = 5;
+        predictor.orf.n_trees = 12;
+        let mut serve = ServeConfig::new(predictor);
+        serve.n_shards = 8;
+        serve.queue_capacity = 64;
+        serve.snapshot_every = 32;
+        assert_eq!(format!("{:?}", t.serve), format!("{serve:?}"));
+        assert_eq!(t.checkpoint_path, Some(PathBuf::from("/tmp/ck.json")));
+        assert_eq!(t.catchup_store, Some(PathBuf::from("/data/store")));
         assert_eq!(cfg.listen.as_deref(), Some("127.0.0.1:7077"));
-        assert!(cfg.checkpoint_path.is_some());
     }
 
     #[test]
-    fn tenant_flags_select_the_fleet_daemon() {
-        let Daemon::Fleet(cfg) = build_config(args(&[
+    fn tenant_flags_select_the_named_tenants() {
+        let cfg = build_config(args(&[
             "--tenant",
             "sta,shards=2",
             "--tenant",
             "mce0,domain=mce",
+            "--shards",
+            "0",
             "--listen",
             "127.0.0.1:7078",
         ]))
-        .unwrap() else {
-            panic!("--tenant flags select the fleet daemon");
-        };
-        assert_eq!(cfg.tenants.len(), 2);
+        .unwrap();
+        assert_eq!(cfg.tenants.len(), 2, "no implicit tenant beside named ones");
         assert_eq!(cfg.tenants[0].name, "sta");
         assert_eq!(cfg.tenants[0].serve.n_shards, 2);
         assert_eq!(cfg.tenants[1].name, "mce0");
@@ -258,6 +275,41 @@ mod tests {
         assert!(build_config(args(&["--frobnicate"])).is_err());
         assert!(build_config(args(&["--tenant", "t,domain=lustre"])).is_err());
         assert!(build_config(args(&["--tenant"])).is_err());
+    }
+
+    #[test]
+    fn tenantless_store_recorded_under_another_domain_is_refused() {
+        use orfpred_smart::gen::{MceFleetConfig, MceSim, ScalePreset};
+        use orfpred_smart::DomainSchema;
+
+        let dir = std::env::temp_dir().join(format!("orfpredd_mce_store_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut mce = MceFleetConfig::preset(ScalePreset::Tiny, 3);
+        mce.n_good = 4;
+        mce.n_failed = 1;
+        mce.duration_days = 90;
+        orfpred_store::record_dataset(
+            &dir,
+            &MceSim::collect(&mce),
+            orfpred_store::StoreConfig {
+                schema: DomainSchema::mce(),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+
+        // A bare `orfpredd --store DIR` serves the SMART domain, so the mce
+        // store's narrower rows must never reach the engine: startup refuses.
+        let store = dir.to_str().unwrap();
+        let cfg = build_config(args(&["--shards", "1", "--trees", "2", "--store", store])).unwrap();
+        let err = orfpred_fleet::run(&cfg, std::io::Cursor::new(""), Vec::new())
+            .err()
+            .expect("an mce store must not feed a SMART tenant");
+        assert!(
+            err.contains("store was recorded under schema `mce`"),
+            "got: {err}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -31,6 +31,11 @@ use orfpred_serve::{Checkpoint, Engine, ServeConfig, ServeError, StatsReport};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
+/// Name of the implicit tenant that `orfpredd` and `orfpred serve` build
+/// from their single-tenant flags when no `--tenant` flag is given.
+pub const DEFAULT_TENANT: &str = "default";
 
 /// Configuration of one tenant.
 #[derive(Clone, Debug)]
@@ -156,8 +161,11 @@ pub struct CatchupNote {
 /// disk FIFO arrival, which a per-tenant lock provides across sessions).
 struct TenantState {
     cfg: ServeConfig,
-    /// `None` once the tenant is shut down.
-    engine: Option<Engine>,
+    /// `None` once the tenant is shut down. Shared so `score` and `stats`
+    /// release the tenant lock before touching the engine: a probe never
+    /// waits behind an ingest blocked on backpressure or a checkpoint's
+    /// fsync.
+    engine: Option<Arc<Engine>>,
     checkpoint_path: Option<PathBuf>,
     /// Alarms raised in *earlier* reshard epochs that no caller has
     /// drained yet (carried over by the reshard drain-barrier).
@@ -239,7 +247,7 @@ impl FleetEngine {
                 n_features: schema.n_features(),
                 state: Mutex::new(TenantState {
                     cfg: cfg.serve,
-                    engine: Some(engine),
+                    engine: Some(Arc::new(engine)),
                     checkpoint_path: cfg.checkpoint_path,
                     pending: Vec::new(),
                     streamed: 0,
@@ -353,13 +361,15 @@ impl FleetEngine {
     }
 
     /// Score a full-width feature row against a tenant's latest snapshot.
+    /// The tenant lock is held only to clone the engine handle.
     pub fn score(&self, tenant: Option<&str>, features: &[f32]) -> Result<f32, FleetError> {
         let slot = self.slot(tenant)?;
-        let st = slot.state.lock();
-        let engine = st
-            .engine
-            .as_ref()
-            .ok_or_else(|| FleetError::Stopped(slot.name.clone()))?;
+        let engine = {
+            let st = slot.state.lock();
+            st.engine
+                .clone()
+                .ok_or_else(|| FleetError::Stopped(slot.name.clone()))?
+        };
         Ok(engine.score(features))
     }
 
@@ -389,24 +399,29 @@ impl FleetEngine {
         Ok(out)
     }
 
-    /// Point-in-time per-tenant stats.
+    /// Point-in-time per-tenant stats. The tenant lock is held only to
+    /// copy the engine handle and the epoch bookkeeping, which a reshard
+    /// swaps together, so the report is always one epoch's view.
     pub fn stats(&self, tenant: Option<&str>) -> Result<TenantStats, FleetError> {
         let slot = self.slot(tenant)?;
-        let st = slot.state.lock();
-        let engine = st
-            .engine
-            .as_ref()
-            .ok_or_else(|| FleetError::Stopped(slot.name.clone()))?;
+        let (engine, base_events, base_alarms, reshards) = {
+            let st = slot.state.lock();
+            let engine = st
+                .engine
+                .clone()
+                .ok_or_else(|| FleetError::Stopped(slot.name.clone()))?;
+            (engine, st.base_events, st.base_alarms, st.reshards)
+        };
         let report = engine.stats();
         Ok(TenantStats {
             tenant: slot.name.clone(),
             n_shards: engine.n_shards() as u64,
             counters: TenantCounters {
-                events: st.base_events + report.samples_ingested + report.failures_ingested,
-                alarms: st.base_alarms + report.alarms_raised,
+                events: base_events + report.samples_ingested + report.failures_ingested,
+                alarms: base_alarms + report.alarms_raised,
                 drift_events: report.drift_events,
                 model_rebuilds: report.model_rebuilds,
-                reshards: st.reshards,
+                reshards,
             },
             engine: report,
         })
@@ -470,7 +485,7 @@ impl FleetEngine {
         st.streamed = 0;
         st.epoch_alarms.extend_from_slice(&fin.alarms);
         st.cfg.n_shards = n_shards;
-        st.engine = Some(Engine::restore(&st.cfg, fin.checkpoint));
+        st.engine = Some(Arc::new(Engine::restore(&st.cfg, fin.checkpoint)));
         st.reshards += 1;
         Ok(())
     }

@@ -1,10 +1,12 @@
-//! `orfpred-fleet`: the multi-tenant serving engine.
+//! `orfpred-fleet`: the multi-tenant serving engine and the one daemon.
 //!
 //! `orfpred-serve` scales one drive-model's pipeline across shard threads;
 //! this crate scales *models*: a [`FleetEngine`] hosts many independent
 //! per-tenant engines (tenant = drive-model × domain-schema) behind one
 //! daemon, each with its own checkpoint lineage, telemetry-store catch-up
-//! cursor, and bit-exactness guarantee. On top of it:
+//! cursor, and bit-exactness guarantee. [`run`] is the only daemon loop:
+//! without `--tenant` flags, `orfpredd` and `orfpred serve` run it as a
+//! one-tenant fleet whose tenant is named [`DEFAULT_TENANT`]. On top of it:
 //!
 //! * **Binary wire protocol** ([`wire`]) — length-prefixed frames
 //!   negotiated per connection alongside the line-JSON protocol, with a
@@ -28,7 +30,8 @@ pub mod wire;
 
 pub use daemon::{run, FleetDaemonConfig, BATCH_EVENTS};
 pub use engine::{
-    CatchupNote, FleetEngine, FleetError, TenantConfig, TenantCounters, TenantFinished, TenantStats,
+    CatchupNote, FleetEngine, FleetError, TenantConfig, TenantCounters, TenantFinished,
+    TenantStats, DEFAULT_TENANT,
 };
 pub use spec::parse_tenant_spec;
 pub use wire::{read_frame, ClientFrame, ServerFrame, WIRE_MAGIC, WIRE_VERSION};

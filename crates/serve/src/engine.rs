@@ -48,7 +48,6 @@ use crate::checkpoint::{Checkpoint, CHECKPOINT_VERSION};
 use crate::epoch::EpochCell;
 use crate::fault::{FaultInjector, NoFaults};
 use crate::stats::{ServeStats, StatsReport};
-use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError};
 use orfpred_core::{
     AdaptiveState, Alarm, OnlineLabeller, OnlinePredictorConfig, OnlineRandomForest, ReleasedSample,
 };
@@ -62,6 +61,7 @@ use parking_lot::Mutex;
 use std::collections::{BinaryHeap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -274,7 +274,7 @@ impl Ord for BySeq {
 /// writer owns everything else the checkpoint needs).
 struct CheckpointRequest {
     path: PathBuf,
-    done: std::sync::mpsc::SyncSender<Result<(), String>>,
+    done: SyncSender<Result<(), String>>,
     /// Raw events offered to `ingest` before the barrier — the store
     /// catch-up cursor (pre-prep, so it matches what the store replays).
     raw_events: u64,
@@ -291,7 +291,7 @@ struct CheckpointRequest {
 /// it must see raw events in arrival order, before sharding.
 struct IngestState {
     next_seq: u64,
-    txs: Option<Vec<Sender<ShardMsg>>>,
+    txs: Option<Vec<SyncSender<ShardMsg>>>,
     /// Raw events offered to `ingest` (pre-prep); the checkpoint cursor.
     raw_events: u64,
     /// Optional repair/hold stage between the raw stream and the shards.
@@ -453,7 +453,7 @@ impl Engine {
         // bound divided by the batch size: events in flight never exceed it.
         let in_flight = n * cfg.queue_capacity + n;
         let batch = WRITER_BATCH.min(in_flight);
-        let (wtx, wrx) = bounded::<Vec<WriterMsg>>(in_flight / batch);
+        let (wtx, wrx) = sync_channel::<Vec<WriterMsg>>(in_flight / batch);
         // The adaptation loop is the only writer-side consumer of raw rows.
         let keep_raw = adaptive.is_some();
 
@@ -461,7 +461,7 @@ impl Engine {
         let mut shard_handles = Vec::with_capacity(n);
         let mut parts = labeller.split_by(n, |d| shard_of(d, n));
         for (idx, part) in parts.drain(..).enumerate() {
-            let (tx, rx) = bounded::<ShardMsg>(cfg.queue_capacity);
+            let (tx, rx) = sync_channel::<ShardMsg>(cfg.queue_capacity);
             txs.push(tx);
             let out = Outbox {
                 tx: wtx.clone(),
@@ -675,7 +675,7 @@ impl Engine {
     /// Blocks until the file is durably in place; events ingested after
     /// this call are not included.
     pub fn checkpoint(&self, path: &Path) -> Result<(), String> {
-        let (done_tx, done_rx) = std::sync::mpsc::sync_channel(1);
+        let (done_tx, done_rx) = sync_channel(1);
         {
             // lint: allow(lock_discipline, reason="the checkpoint barrier must take one seq slot across every shard with no ingest interleaved, or shards would snapshot at different stream points; the sends are to bounded queues the shards are actively draining")
             let mut st = self.ingest.lock();
@@ -805,7 +805,7 @@ impl Engine {
 
 /// A shard's outgoing batch to the model writer.
 struct Outbox {
-    tx: Sender<Vec<WriterMsg>>,
+    tx: SyncSender<Vec<WriterMsg>>,
     batch: Vec<WriterMsg>,
     /// Flush threshold (at most [`WRITER_BATCH`]).
     size: usize,

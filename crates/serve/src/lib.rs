@@ -23,13 +23,14 @@
 //!   so the saved labelling queues, scaler, forest and stream position
 //!   form one consistent cut; files are written tmp → fsync → rename and
 //!   a restored daemon resumes byte-identically;
-//! * **Protocol** — line-delimited JSON over stdin and an optional TCP
-//!   listener ([`protocol`], [`daemon`]); live counters via [`stats`].
+//! * **Protocol** — the line-delimited JSON request vocabulary
+//!   ([`protocol`]) and live counters ([`stats`]). The daemon that serves
+//!   engines over stdin and TCP is `orfpred-fleet`: without `--tenant`
+//!   flags it hosts exactly one engine, as a one-tenant fleet.
 
 #![warn(missing_docs)]
 
 pub mod checkpoint;
-pub mod daemon;
 pub mod engine;
 pub mod epoch;
 pub mod fault;
@@ -37,7 +38,6 @@ pub mod protocol;
 pub mod stats;
 
 pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_VERSION};
-pub use daemon::{run, DaemonConfig};
 pub use engine::{
     shard_of, Engine, Finished, ModelSnapshot, ServeConfig, ServeError, WRITER_BATCH,
 };

@@ -9,19 +9,19 @@
 //! {"type":"score","features":[...48 floats...]}
 //! {"type":"stats"}
 //! {"type":"checkpoint","path":"/var/lib/orfpred/model.json"}
+//! {"type":"reshard","n_shards":8}
 //! {"type":"shutdown"}
 //! ```
 //!
-//! Responses: `{"type":"alarm",...}` (emitted asynchronously as the model
-//! writer applies samples), `{"type":"score","score":s}`,
-//! `{"type":"stats",...counters...}`, `{"type":"ok","what":...}`, and
-//! `{"type":"error","message":...}`.
+//! Any request may add a `"tenant"` routing field. The direct replies are
+//! [`Response`] lines (`{"type":"score","score":s}`,
+//! `{"type":"ok","what":...}`, `{"type":"error","message":...}`); the
+//! tenant-tagged `alarm` and `stats` lines are rendered by the daemon in
+//! `orfpred-fleet`, which owns the tenant context they carry.
 //!
 //! `type` is a Rust keyword, so these types use hand-written `Value`-tree
 //! conversions rather than the derive.
 
-use crate::stats::StatsReport;
-use orfpred_core::Alarm;
 use serde::{Serialize, Value};
 use serde_json::ValueRef;
 
@@ -133,8 +133,7 @@ pub enum Request {
         /// Target file, if overriding the daemon default.
         path: Option<String>,
     },
-    /// Change the tenant's shard count without a restart (multi-tenant
-    /// daemon only; the single-tenant daemon refuses it).
+    /// Change the tenant's shard count without a restart.
     Reshard {
         /// New shard count (≥ 1).
         n_shards: usize,
@@ -187,15 +186,10 @@ fn floats(v: Option<&ValueRef<'_>>, what: &'static str) -> Result<Vec<f32>, Prot
 }
 
 impl Request {
-    /// Parse one protocol line.
-    pub fn parse(line: &str) -> Result<Self, ProtocolError> {
-        Self::parse_with_tenant(line).map(|(_, req)| req)
-    }
-
-    /// Parse one protocol line, also extracting the optional `tenant`
-    /// routing field used by the multi-tenant daemon. Field values borrow
-    /// from `line` during parsing — the hot ingest path allocates only the
-    /// `features` vector (and the tenant name when present).
+    /// Parse one protocol line into its optional `tenant` routing field and
+    /// the request. Field values borrow from `line` during parsing — the
+    /// hot ingest path allocates only the `features` vector (and the tenant
+    /// name when present).
     pub fn parse_with_tenant(line: &str) -> Result<(Option<String>, Self), ProtocolError> {
         if line.len() > MAX_FRAME_LEN {
             return Err(ProtocolError::Oversized {
@@ -309,19 +303,14 @@ impl Request {
     }
 }
 
-/// One response line.
+/// One direct reply line.
 #[derive(Clone, Debug)]
 pub enum Response {
-    /// An at-risk alarm (emitted asynchronously while samples apply).
-    Alarm(Alarm),
     /// Answer to a `score` request.
     Score {
         /// Ensemble vote of the latest snapshot.
         score: f32,
     },
-    /// Answer to a `stats` request (boxed: the report dwarfs every other
-    /// variant now that it carries the prep counters).
-    Stats(Box<StatsReport>),
     /// Generic acknowledgement (`checkpoint`, `shutdown`; `sample` and
     /// `failure` are not acked individually — alarms are the feedback).
     Ok {
@@ -339,25 +328,10 @@ impl Response {
     /// Render as a protocol line (no trailing newline).
     pub fn to_line(&self) -> String {
         let obj = match self {
-            Response::Alarm(a) => vec![
-                ("type".into(), Value::Str("alarm".into())),
-                ("disk_id".into(), Value::Int(i128::from(a.disk_id))),
-                ("day".into(), Value::Int(i128::from(a.day))),
-                ("score".into(), a.score.ser()),
-            ],
             Response::Score { score } => vec![
                 ("type".into(), Value::Str("score".into())),
                 ("score".into(), score.ser()),
             ],
-            Response::Stats(report) => {
-                let mut f = vec![("type".into(), Value::Str("stats".into()))];
-                match report.ser() {
-                    Value::Obj(rest) => f.extend(rest),
-                    // lint: allow(panic_path, reason="StatsReport is a struct, and the derived ser() for structs always yields Value::Obj; any other variant is a serde-layer bug worth dying loudly on")
-                    _ => unreachable!("StatsReport serializes to an object"),
-                }
-                f
-            }
             Response::Ok { what } => vec![
                 ("type".into(), Value::Str("ok".into())),
                 ("what".into(), Value::Str(what.clone())),
@@ -374,6 +348,10 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(line: &str) -> Result<Request, ProtocolError> {
+        Request::parse_with_tenant(line).map(|(_, req)| req)
+    }
 
     #[test]
     fn request_lines_round_trip() {
@@ -399,25 +377,22 @@ mod tests {
             Request::Shutdown,
         ];
         for r in reqs {
-            assert_eq!(Request::parse(&r.to_line()).unwrap(), r);
+            assert_eq!(parse(&r.to_line()).unwrap(), r);
         }
     }
 
     #[test]
     fn unknown_and_malformed_inputs_error() {
-        assert!(Request::parse("not json").is_err());
-        assert!(Request::parse("[1,2]").is_err());
-        assert!(Request::parse("{\"type\":\"frobnicate\"}").is_err());
-        assert!(
-            Request::parse("{\"type\":\"sample\",\"disk_id\":-1,\"day\":0,\"features\":[]}")
-                .is_err()
-        );
-        assert!(Request::parse("{\"type\":\"sample\",\"disk_id\":1,\"day\":0}").is_err());
+        assert!(parse("not json").is_err());
+        assert!(parse("[1,2]").is_err());
+        assert!(parse("{\"type\":\"frobnicate\"}").is_err());
+        assert!(parse("{\"type\":\"sample\",\"disk_id\":-1,\"day\":0,\"features\":[]}").is_err());
+        assert!(parse("{\"type\":\"sample\",\"disk_id\":1,\"day\":0}").is_err());
     }
 
     #[test]
     fn integer_features_are_accepted() {
-        let r = Request::parse("{\"type\":\"score\",\"features\":[1,2.5,3]}").unwrap();
+        let r = parse("{\"type\":\"score\",\"features\":[1,2.5,3]}").unwrap();
         assert_eq!(
             r,
             Request::Score {
@@ -441,11 +416,6 @@ mod tests {
     #[test]
     fn responses_are_valid_single_line_json() {
         let rs = [
-            Response::Alarm(Alarm {
-                disk_id: 9,
-                day: 4,
-                score: 0.75,
-            }),
             Response::Score { score: 0.5 },
             Response::Ok {
                 what: "sample".into(),
@@ -464,20 +434,14 @@ mod tests {
 
     #[test]
     fn parse_errors_are_typed() {
+        assert!(matches!(parse("not json"), Err(ProtocolError::Garbled(_))));
+        assert!(matches!(parse("[1,2]"), Err(ProtocolError::Garbled(_))));
         assert!(matches!(
-            Request::parse("not json"),
-            Err(ProtocolError::Garbled(_))
-        ));
-        assert!(matches!(
-            Request::parse("[1,2]"),
-            Err(ProtocolError::Garbled(_))
-        ));
-        assert!(matches!(
-            Request::parse("{\"type\":\"frobnicate\"}"),
+            parse("{\"type\":\"frobnicate\"}"),
             Err(ProtocolError::UnknownType(t)) if t == "frobnicate"
         ));
         assert!(matches!(
-            Request::parse("{\"type\":\"sample\",\"disk_id\":-1,\"day\":0,\"features\":[]}"),
+            parse("{\"type\":\"sample\",\"disk_id\":-1,\"day\":0,\"features\":[]}"),
             Err(ProtocolError::BadField {
                 field: "disk_id",
                 ..
@@ -488,7 +452,7 @@ mod tests {
             "0,".repeat(MAX_FRAME_LEN / 2)
         );
         assert!(matches!(
-            Request::parse(&oversized),
+            parse(&oversized),
             Err(ProtocolError::Oversized {
                 max: MAX_FRAME_LEN,
                 ..
@@ -513,19 +477,5 @@ mod tests {
                 ..
             })
         ));
-    }
-
-    #[test]
-    fn alarm_response_shape_is_stable() {
-        let line = Response::Alarm(Alarm {
-            disk_id: 1,
-            day: 2,
-            score: 0.5,
-        })
-        .to_line();
-        assert_eq!(
-            line,
-            "{\"type\":\"alarm\",\"disk_id\":1,\"day\":2,\"score\":0.5}"
-        );
     }
 }

@@ -37,11 +37,11 @@ pub struct FaultPlan {
     ckpt_faults: Mutex<HashMap<PathBuf, CheckpointFault>>,
     /// Pending input-line replacements, keyed by 0-based line index.
     mangles: Mutex<HashMap<u64, String>>,
-    /// Pending live reshards (multi-tenant daemon), keyed by 0-based
+    /// Pending live reshards (fleet daemon), keyed by 0-based
     /// primary-input line index: (tenant name, new shard count). An empty
-    /// tenant name addresses the fleet's default tenant.
+    /// tenant name addresses a one-tenant fleet's only tenant.
     reshards: Mutex<HashMap<u64, (String, usize)>>,
-    /// Pending tenant kills (multi-tenant daemon), keyed by 0-based
+    /// Pending tenant kills (fleet daemon), keyed by 0-based
     /// primary-input line index.
     tenant_kills: Mutex<HashMap<u64, String>>,
     /// Pending telemetry-store segment faults, keyed by segment index.
@@ -81,8 +81,8 @@ impl FaultPlan {
     }
 
     /// Live-reshard `tenant` to `n_shards` shards just before the
-    /// multi-tenant daemon processes primary-input line `idx` (0-based).
-    /// An empty tenant name addresses the fleet's default tenant.
+    /// fleet daemon processes primary-input line `idx` (0-based).
+    /// An empty tenant name addresses a one-tenant fleet's only tenant.
     pub fn reshard_at(&self, idx: u64, tenant: &str, n_shards: usize) {
         assert!(n_shards > 0, "a zero shard count can never apply");
         self.reshards
@@ -91,8 +91,9 @@ impl FaultPlan {
     }
 
     /// Kill `tenant` (engine torn down, undrained state lost, no checkpoint
-    /// written) just before the multi-tenant daemon processes primary-input
-    /// line `idx` (0-based). An empty name addresses the default tenant.
+    /// written) just before the fleet daemon processes primary-input
+    /// line `idx` (0-based). An empty name addresses a one-tenant fleet's
+    /// only tenant.
     pub fn kill_tenant_at(&self, idx: u64, tenant: &str) {
         self.tenant_kills.lock().insert(idx, tenant.to_string());
     }

@@ -1,29 +1,26 @@
 //! Garbage on the wire: a corpus of malformed, oversized, and interleaved
-//! JSON lines pushed through the daemon's primary input, plus in-place
-//! line corruption through the injector hook. Every bad line must yield
+//! JSON lines pushed through the daemon's primary input (a one-tenant
+//! fleet, as `orfpredd` runs without `--tenant`), plus in-place line
+//! corruption through the injector hook. Every bad line must yield
 //! an error response; none may corrupt state — the daemon's final
 //! checkpoint must be byte-identical to a run that never saw the garbage.
 
 use orfpred::core::OnlinePredictorConfig;
-use orfpred::serve::{daemon, DaemonConfig, Request, ServeConfig};
+use orfpred::fleet::{run, FleetDaemonConfig, TenantConfig, TenantFinished, DEFAULT_TENANT};
+use orfpred::serve::Request;
 use orfpred_testkit::FaultPlan;
 use std::io::Cursor;
 use std::sync::Arc;
 
-fn daemon_cfg() -> DaemonConfig {
+fn daemon_cfg() -> FleetDaemonConfig {
     let mut p = OnlinePredictorConfig::new(vec![0, 1, 2], 5);
     p.orf.n_trees = 5;
     p.orf.warmup_age = 0;
     p.orf.min_parent_size = 10.0;
     p.orf.lambda_neg = 0.5;
-    let mut serve = ServeConfig::new(p);
-    serve.n_shards = 2;
-    DaemonConfig {
-        serve,
-        listen: None,
-        checkpoint_path: None,
-        catchup_store: None,
-    }
+    let mut tenant = TenantConfig::new(DEFAULT_TENANT, p);
+    tenant.serve.n_shards = 2;
+    FleetDaemonConfig::new(vec![tenant])
 }
 
 /// A small valid workload: two disks, 30 days, one failure.
@@ -75,12 +72,12 @@ fn garbage_corpus() -> Vec<String> {
     ]
 }
 
-fn run_daemon(cfg: &DaemonConfig, lines: &[String]) -> (orfpred::serve::Finished, Vec<String>) {
+fn run_daemon(cfg: &FleetDaemonConfig, lines: &[String]) -> (TenantFinished, Vec<String>) {
     let script = lines.join("\n") + "\n";
     let mut out = Vec::new();
-    let fin = daemon::run(cfg, Cursor::new(script), &mut out).expect("daemon survives");
+    let mut fins = run(cfg, Cursor::new(script), &mut out).expect("daemon survives");
     let text = String::from_utf8(out).unwrap();
-    (fin, text.lines().map(str::to_string).collect())
+    (fins.remove(0), text.lines().map(str::to_string).collect())
 }
 
 #[test]
@@ -138,7 +135,7 @@ fn injected_line_corruption_fires_through_the_daemon_hook() {
     plan.mangle_at(10, "{\"type\":\"sample\",\"day\":true}");
     plan.mangle_at(25, "\u{0}\u{1}binary junk\u{fffd}");
     let mut cfg = daemon_cfg();
-    cfg.serve.injector = Arc::clone(&plan) as Arc<dyn orfpred::serve::FaultInjector>;
+    cfg.injector = Arc::clone(&plan) as Arc<dyn orfpred::serve::FaultInjector>;
 
     let (clean_fin, _) = run_daemon(&daemon_cfg(), &clean);
     let (dirty_fin, dirty_out) = run_daemon(&cfg, &dirty);

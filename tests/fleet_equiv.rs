@@ -3,17 +3,17 @@
 //! `orfpred-fleet` hosts many per-tenant engines behind one daemon, adds a
 //! binary wire protocol, and re-shards tenants live. None of that may
 //! change a single output bit: each tenant's alarm stream and final
-//! checkpoint must match what a standalone single-tenant daemon fed the
-//! same events would produce — across interleaved multi-tenant traffic,
+//! checkpoint must match what a standalone engine fed the same events
+//! would produce — across interleaved multi-tenant traffic,
 //! across a live reshard, across a crash + checkpoint/store recovery, and
 //! across the two wire formats.
 
 use orfpred::core::{Alarm, OnlinePredictorConfig};
 use orfpred::fleet::{
     read_frame, run as fleet_run, ClientFrame, FleetDaemonConfig, FleetEngine, ServerFrame,
-    TenantConfig, WIRE_MAGIC, WIRE_VERSION,
+    TenantConfig, DEFAULT_TENANT, WIRE_MAGIC, WIRE_VERSION,
 };
-use orfpred::serve::{daemon as serve_daemon, DaemonConfig, Engine, Request, ServeConfig};
+use orfpred::serve::{Engine, Request, ServeConfig};
 use orfpred::smart::attrs::table2_feature_columns;
 use orfpred::smart::gen::{FleetConfig, FleetEvent, FleetSim, ScalePreset};
 use orfpred::store::{record_fleet, Store, StoreConfig};
@@ -78,10 +78,10 @@ fn standalone(events: &[FleetEvent], predictor: OnlinePredictorConfig) -> orfpre
 
 #[test]
 fn single_tenant_fleet_matches_the_standalone_daemon_bitwise() {
-    // The same JSON script through the classic single-tenant daemon and
-    // through a one-tenant fleet daemon: identical alarms, identical final
-    // checkpoint bytes. Single-tenant scripts never name a tenant, which a
-    // one-tenant fleet must accept for drop-in compatibility.
+    // A tenant-less JSON script through a one-tenant fleet daemon (what
+    // `orfpredd` runs without `--tenant`) against the standalone engine fed
+    // the same events: identical alarms, identical final checkpoint bytes.
+    // The script never names a tenant, which a one-tenant fleet accepts.
     let events = fleet_events(1401);
     let mut script = String::new();
     for ev in &events {
@@ -89,17 +89,10 @@ fn single_tenant_fleet_matches_the_standalone_daemon_bitwise() {
         script.push('\n');
     }
 
-    let solo_cfg = DaemonConfig {
-        serve: ServeConfig::new(predictor_cfg(9)),
-        listen: None,
-        checkpoint_path: None,
-        catchup_store: None,
-    };
-    let mut solo_out = Vec::new();
-    let solo = serve_daemon::run(&solo_cfg, Cursor::new(script.clone()), &mut solo_out)
-        .expect("standalone daemon runs");
+    let solo = standalone(&events, predictor_cfg(9));
 
-    let fleet_cfg = FleetDaemonConfig::new(vec![TenantConfig::new("solo", predictor_cfg(9))]);
+    let fleet_cfg =
+        FleetDaemonConfig::new(vec![TenantConfig::new(DEFAULT_TENANT, predictor_cfg(9))]);
     let mut fleet_out = Vec::new();
     let fins =
         fleet_run(&fleet_cfg, Cursor::new(script), &mut fleet_out).expect("fleet daemon runs");

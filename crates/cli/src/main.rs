@@ -7,11 +7,11 @@
 //!                  [--domain smart|smart-windowed|mce] [--segment-rows R] [--lenient]
 //! orfpred data     info   --store store/ [--top K]
 //! orfpred data     verify --store store/ [--domain NAME]
-//! orfpred train    (--csv fleet.csv | --store store/) --model model.json [--online] [--lambda R] [--seed N]
-//! orfpred score    (--csv fleet.csv | --store store/) --model model.json [--tau T] [--top K]
-//! orfpred eval     (--csv fleet.csv | --store store/) --model model.json [--target-far F]
+//! orfpred train    (--csv fleet.csv | --store store/) --model model.ckpt [--online] [--lambda R] [--seed N]
+//! orfpred score    (--csv fleet.csv | --store store/) --model model.ckpt [--tau T] [--top K]
+//! orfpred eval     (--csv fleet.csv | --store store/) --model model.ckpt [--target-far F]
 //! orfpred inspect  (--csv fleet.csv | --store store/)
-//! orfpred model    inspect --model model.json [--top K]
+//! orfpred model    inspect --model model.ckpt [--top K]
 //! orfpred drift    (--csv fleet.csv | --store store/) [--top N]
 //! orfpred assess   (--csv fleet.csv | --store store/) [--seed N]
 //! orfpred serve    [--shards N] [--listen ADDR] [--checkpoint PATH] [--store DIR]
@@ -779,11 +779,11 @@ fn model_cmd(argv: &[String]) -> Result<(), String> {
     match argv.first().map(String::as_str) {
         Some("inspect") => model_inspect(&argv[1..]),
         Some(other) => Err(format!("unknown model action '{other}' (inspect)")),
-        None => Err("usage: orfpred model inspect --model model.json [--top K]".into()),
+        None => Err("usage: orfpred model inspect --model model.ckpt [--top K]".into()),
     }
 }
 
-/// `orfpred model inspect --model model.json [--top K]`: compile the saved
+/// `orfpred model inspect --model model.ckpt [--top K]`: compile the saved
 /// model to the frozen layout and print its anatomy.
 fn model_inspect(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv, &[])?;

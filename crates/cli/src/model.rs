@@ -1,21 +1,26 @@
 //! Self-contained on-disk model format: the scaler and forest bundled into
-//! one JSON document, so a model file scores raw Backblaze rows with no
+//! one file, so a model file scores raw Backblaze rows with no
 //! side-channel configuration.
 //!
-//! The `Online` variant is versioned and shares its JSON shape with the
-//! serving daemon's checkpoint format (`orfpred_serve::Checkpoint`): a
-//! daemon checkpoint loads here for offline scoring, and a trained model
-//! file boots a daemon. v1 files (scaler + forest only) predate the
-//! serving fields, which are therefore all optional.
+//! Model files are written and read by the serving checkpoint code
+//! (`orfpred_serve::checkpoint`): the same CRC-framed binary format, the
+//! same atomic write, and the same content-based detection of older JSON
+//! files. The `Online` variant is versioned and shares its shape with the
+//! daemon's `Checkpoint`: a daemon checkpoint loads here for offline
+//! scoring, and a trained model file boots a daemon. v1 files (scaler +
+//! forest only) predate the serving fields, which are therefore all
+//! optional.
 
 use orfpred_core::{OnlineLabeller, OnlineRandomForest, OrfConfig};
 use orfpred_eval::prep::{build_matrix, stream_orf, training_labels};
+use orfpred_serve::{checkpoint, NoFaults};
 use orfpred_smart::attrs::table2_feature_columns;
 use orfpred_smart::record::Dataset;
 use orfpred_smart::scale::{MinMaxScaler, OnlineMinMax};
 use orfpred_trees::{ForestConfig, FrozenForest, RandomForest};
 use orfpred_util::{Matrix, Xoshiro256pp};
 use serde::{Deserialize, Serialize};
+use std::path::Path;
 
 /// A trained model plus the preprocessing it expects.
 // One SavedModel exists per process; the variant size gap is irrelevant.
@@ -105,18 +110,14 @@ impl SavedModel {
         }
     }
 
-    /// Serialize to a JSON file.
+    /// Write a model file atomically, in the serving checkpoint format.
     pub fn save(&self, path: &str) -> Result<(), String> {
-        let file = std::fs::File::create(path).map_err(|e| format!("create {path}: {e}"))?;
-        serde_json::to_writer(std::io::BufWriter::new(file), self)
-            .map_err(|e| format!("serialize model: {e}"))
+        checkpoint::write_file(Path::new(path), self, &NoFaults).map_err(|e| e.to_string())
     }
 
-    /// Load from a JSON file.
+    /// Load a model file (or daemon checkpoint), binary or legacy JSON.
     pub fn load(path: &str) -> Result<Self, String> {
-        let file = std::fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-        serde_json::from_reader(std::io::BufReader::new(file))
-            .map_err(|e| format!("parse model {path}: {e}"))
+        checkpoint::read_file(Path::new(path)).map_err(|e| e.to_string())
     }
 
     /// Compile into the flat scoring representation; scores bit-identical
@@ -215,6 +216,22 @@ mod tests {
             assert_eq!(model.score(&rec.features), back.score(&rec.features));
         }
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn offline_model_file_is_the_binary_image_of_its_value_tree() {
+        let ds = dataset();
+        let model = SavedModel::train_offline(&ds, Some(3.0), 1).unwrap();
+        let image = orfpred_util::codec::encode(&model);
+        assert_eq!(orfpred_util::codec::decode(&image).unwrap(), model.ser());
+        let path = std::env::temp_dir().join("orfpred_cli_test_offline_image.ckpt");
+        model.save(path.to_str().unwrap()).unwrap();
+        let file = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        // Magic, then the image, then CRC32 + tail magic.
+        let magic = orfpred_serve::CKPT_MAGIC;
+        assert!(file.starts_with(magic));
+        assert!(file[magic.len()..file.len() - 12] == image[..]);
     }
 
     #[test]

@@ -7,8 +7,11 @@
 //!
 //! Differences from real serde that matter here:
 //!
-//! * [`Serialize::ser`]/[`Deserialize::de`] build a `Value` directly —
-//!   there is no `Serializer`/visitor machinery;
+//! * [`Serialize::emit`] streams a type as [`Sink`] events in the shape of
+//!   the `Value` model (no `Serializer`/visitor machinery): a binary
+//!   encoder consumes them without building a tree, and
+//!   [`Serialize::ser`] collects them into a `Value` for the JSON renderer;
+//!   [`Deserialize::de`] reads a `Value` tree back;
 //! * arrays of **any** length serialize (const generics), so no
 //!   `serde(with = ...)` adapters are needed;
 //! * maps serialize **sorted by key**, which makes every serialization in
@@ -66,10 +69,130 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Types that can render themselves as a [`Value`] tree.
+/// Receiver of serialization events in the shape of the [`Value`] model.
+///
+/// Containers announce their length up front: `arr(n)` is followed by
+/// exactly `n` values, and `obj(n)` by exactly `n` `key` + value pairs.
+/// Nothing marks a container's end, so a sink never needs lookahead.
+pub trait Sink {
+    /// A `null`.
+    fn null(&mut self);
+    /// A boolean.
+    fn bool(&mut self, b: bool);
+    /// An integer.
+    fn int(&mut self, i: i128);
+    /// A float (finite when it comes from the `f64`/`f32` impls).
+    fn float(&mut self, f: f64);
+    /// A string.
+    fn str(&mut self, s: &str);
+    /// Start of an array of `n` values.
+    fn arr(&mut self, n: usize);
+    /// Start of an object of `n` fields.
+    fn obj(&mut self, n: usize);
+    /// The name of the next object field; its value follows.
+    fn key(&mut self, k: &str);
+}
+
+/// Types that can stream themselves as [`Sink`] events.
 pub trait Serialize {
-    /// Build the value tree.
-    fn ser(&self) -> Value;
+    /// Emit this value's events into `sink`.
+    fn emit(&self, sink: &mut dyn Sink);
+
+    /// Build the value tree the events describe.
+    fn ser(&self) -> Value {
+        let mut b = ValueBuilder::default();
+        self.emit(&mut b);
+        b.finish()
+    }
+}
+
+/// A [`Sink`] that assembles the events into a [`Value`] tree.
+#[derive(Debug, Default)]
+struct ValueBuilder {
+    /// Containers still waiting for elements, innermost last.
+    open: Vec<Open>,
+    root: Option<Value>,
+}
+
+#[derive(Debug)]
+enum Open {
+    Arr(Vec<Value>, usize),
+    Obj(Vec<(String, Value)>, usize, String),
+}
+
+impl ValueBuilder {
+    /// The finished tree (`Null` if no value was emitted).
+    fn finish(self) -> Value {
+        debug_assert!(self.open.is_empty(), "unfinished container");
+        self.root.unwrap_or(Value::Null)
+    }
+
+    /// Place a complete value, closing every container it completes.
+    fn put(&mut self, mut v: Value) {
+        loop {
+            match self.open.last_mut() {
+                None => {
+                    self.root = Some(v);
+                    return;
+                }
+                Some(Open::Arr(items, n)) => {
+                    items.push(v);
+                    if items.len() < *n {
+                        return;
+                    }
+                }
+                Some(Open::Obj(fields, n, key)) => {
+                    fields.push((std::mem::take(key), v));
+                    if fields.len() < *n {
+                        return;
+                    }
+                }
+            }
+            v = match self.open.pop() {
+                Some(Open::Arr(items, _)) => Value::Arr(items),
+                Some(Open::Obj(fields, _, _)) => Value::Obj(fields),
+                None => return,
+            };
+        }
+    }
+}
+
+impl Sink for ValueBuilder {
+    fn null(&mut self) {
+        self.put(Value::Null);
+    }
+    fn bool(&mut self, b: bool) {
+        self.put(Value::Bool(b));
+    }
+    fn int(&mut self, i: i128) {
+        self.put(Value::Int(i));
+    }
+    fn float(&mut self, f: f64) {
+        self.put(Value::Float(f));
+    }
+    fn str(&mut self, s: &str) {
+        self.put(Value::Str(s.to_owned()));
+    }
+    fn arr(&mut self, n: usize) {
+        if n == 0 {
+            self.put(Value::Arr(Vec::new()));
+        } else {
+            self.open.push(Open::Arr(Vec::with_capacity(n), n));
+        }
+    }
+    fn obj(&mut self, n: usize) {
+        if n == 0 {
+            self.put(Value::Obj(Vec::new()));
+        } else {
+            self.open
+                .push(Open::Obj(Vec::with_capacity(n), n, String::new()));
+        }
+    }
+    fn key(&mut self, k: &str) {
+        if let Some(Open::Obj(_, _, key)) = self.open.last_mut() {
+            *key = k.to_owned();
+        }
+    }
 }
 
 /// Types that can be rebuilt from a [`Value`] tree.
@@ -120,7 +243,7 @@ pub fn enum_parts(v: &Value) -> Result<(&str, Option<&Value>), Error> {
 macro_rules! impl_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn ser(&self) -> Value { Value::Int(*self as i128) }
+            fn emit(&self, sink: &mut dyn Sink) { sink.int(*self as i128) }
         }
         impl Deserialize for $t {
             fn de(v: &Value) -> Result<Self, Error> {
@@ -138,11 +261,11 @@ macro_rules! impl_int {
 impl_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl Serialize for f64 {
-    fn ser(&self) -> Value {
+    fn emit(&self, sink: &mut dyn Sink) {
         if self.is_finite() {
-            Value::Float(*self)
+            sink.float(*self)
         } else {
-            Value::Null
+            sink.null()
         }
     }
 }
@@ -159,8 +282,8 @@ impl Deserialize for f64 {
 }
 
 impl Serialize for f32 {
-    fn ser(&self) -> Value {
-        f64::from(*self).ser()
+    fn emit(&self, sink: &mut dyn Sink) {
+        f64::from(*self).emit(sink)
     }
 }
 
@@ -173,8 +296,8 @@ impl Deserialize for f32 {
 }
 
 impl Serialize for bool {
-    fn ser(&self) -> Value {
-        Value::Bool(*self)
+    fn emit(&self, sink: &mut dyn Sink) {
+        sink.bool(*self)
     }
 }
 
@@ -188,14 +311,14 @@ impl Deserialize for bool {
 }
 
 impl Serialize for String {
-    fn ser(&self) -> Value {
-        Value::Str(self.clone())
+    fn emit(&self, sink: &mut dyn Sink) {
+        sink.str(self)
     }
 }
 
 impl Serialize for str {
-    fn ser(&self) -> Value {
-        Value::Str(self.to_owned())
+    fn emit(&self, sink: &mut dyn Sink) {
+        sink.str(self)
     }
 }
 
@@ -209,8 +332,8 @@ impl Deserialize for String {
 }
 
 impl Serialize for char {
-    fn ser(&self) -> Value {
-        Value::Str(self.to_string())
+    fn emit(&self, sink: &mut dyn Sink) {
+        sink.str(self.encode_utf8(&mut [0; 4]))
     }
 }
 
@@ -224,8 +347,22 @@ impl Deserialize for char {
 }
 
 impl Serialize for Value {
-    fn ser(&self) -> Value {
-        self.clone()
+    fn emit(&self, sink: &mut dyn Sink) {
+        match self {
+            Value::Null => sink.null(),
+            Value::Bool(b) => sink.bool(*b),
+            Value::Int(i) => sink.int(*i),
+            Value::Float(f) => sink.float(*f),
+            Value::Str(s) => sink.str(s),
+            Value::Arr(items) => items.emit(sink),
+            Value::Obj(fields) => {
+                sink.obj(fields.len());
+                for (k, v) in fields {
+                    sink.key(k);
+                    v.emit(sink);
+                }
+            }
+        }
     }
 }
 
@@ -238,10 +375,10 @@ impl Deserialize for Value {
 // ------------------------------------------------------------ containers
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn ser(&self) -> Value {
+    fn emit(&self, sink: &mut dyn Sink) {
         match self {
-            Some(x) => x.ser(),
-            None => Value::Null,
+            Some(x) => x.emit(sink),
+            None => sink.null(),
         }
     }
 }
@@ -255,9 +392,20 @@ impl<T: Deserialize> Deserialize for Option<T> {
     }
 }
 
+/// Emit an array of `items`.
+fn emit_seq<'a, T: Serialize + 'a>(
+    sink: &mut dyn Sink,
+    items: impl ExactSizeIterator<Item = &'a T>,
+) {
+    sink.arr(items.len());
+    for x in items {
+        x.emit(sink);
+    }
+}
+
 impl<T: Serialize> Serialize for Vec<T> {
-    fn ser(&self) -> Value {
-        Value::Arr(self.iter().map(Serialize::ser).collect())
+    fn emit(&self, sink: &mut dyn Sink) {
+        emit_seq(sink, self.iter())
     }
 }
 
@@ -271,8 +419,8 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize> Serialize for VecDeque<T> {
-    fn ser(&self) -> Value {
-        Value::Arr(self.iter().map(Serialize::ser).collect())
+    fn emit(&self, sink: &mut dyn Sink) {
+        emit_seq(sink, self.iter())
     }
 }
 
@@ -283,8 +431,8 @@ impl<T: Deserialize> Deserialize for VecDeque<T> {
 }
 
 impl<T: Serialize + ?Sized> Serialize for Box<T> {
-    fn ser(&self) -> Value {
-        (**self).ser()
+    fn emit(&self, sink: &mut dyn Sink) {
+        (**self).emit(sink)
     }
 }
 
@@ -295,8 +443,8 @@ impl<T: Deserialize> Deserialize for Box<T> {
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn ser(&self) -> Value {
-        Value::Arr(self.iter().map(Serialize::ser).collect())
+    fn emit(&self, sink: &mut dyn Sink) {
+        emit_seq(sink, self.iter())
     }
 }
 
@@ -307,8 +455,8 @@ impl<T: Deserialize> Deserialize for Box<[T]> {
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn ser(&self) -> Value {
-        Value::Arr(self.iter().map(Serialize::ser).collect())
+    fn emit(&self, sink: &mut dyn Sink) {
+        emit_seq(sink, self.iter())
     }
 }
 
@@ -323,16 +471,17 @@ impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn ser(&self) -> Value {
-        (**self).ser()
+    fn emit(&self, sink: &mut dyn Sink) {
+        (**self).emit(sink)
     }
 }
 
 macro_rules! impl_tuple {
     ($(($($t:ident : $i:tt),+))*) => {$(
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn ser(&self) -> Value {
-                Value::Arr(vec![$(self.$i.ser()),+])
+            fn emit(&self, sink: &mut dyn Sink) {
+                sink.arr([$($i),+].len());
+                $(self.$i.emit(sink);)+
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
@@ -382,18 +531,18 @@ macro_rules! impl_map_key {
 
 impl_map_key!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
-fn ser_map<'a, K: MapKey + 'a, V: Serialize + 'a>(
+fn emit_map<'a, K: MapKey + 'a, V: Serialize + 'a>(
+    sink: &mut dyn Sink,
     entries: impl Iterator<Item = (&'a K, &'a V)>,
-) -> Value {
+) {
     let mut pairs: Vec<(&K, &V)> = entries.collect();
     // Deterministic output regardless of hash iteration order.
     pairs.sort_by(|a, b| a.0.cmp(b.0));
-    Value::Obj(
-        pairs
-            .into_iter()
-            .map(|(k, v)| (k.to_key(), v.ser()))
-            .collect(),
-    )
+    sink.obj(pairs.len());
+    for (k, v) in pairs {
+        sink.key(&k.to_key());
+        v.emit(sink);
+    }
 }
 
 fn de_map_entries<K: MapKey, V: Deserialize>(v: &Value) -> Result<Vec<(K, V)>, Error> {
@@ -407,8 +556,8 @@ fn de_map_entries<K: MapKey, V: Deserialize>(v: &Value) -> Result<Vec<(K, V)>, E
 }
 
 impl<K: MapKey + std::hash::Hash + Eq, V: Serialize> Serialize for HashMap<K, V> {
-    fn ser(&self) -> Value {
-        ser_map(self.iter())
+    fn emit(&self, sink: &mut dyn Sink) {
+        emit_map(sink, self.iter())
     }
 }
 
@@ -419,8 +568,8 @@ impl<K: MapKey + std::hash::Hash + Eq, V: Deserialize> Deserialize for HashMap<K
 }
 
 impl<K: MapKey, V: Serialize> Serialize for BTreeMap<K, V> {
-    fn ser(&self) -> Value {
-        ser_map(self.iter())
+    fn emit(&self, sink: &mut dyn Sink) {
+        emit_map(sink, self.iter())
     }
 }
 

@@ -2,8 +2,10 @@
 //!
 //! This workspace builds in a hermetic environment with no crates.io
 //! access, so the real serde/syn/quote stack is unavailable. The facade's
-//! data model is a JSON-shaped `Value` tree, which lets the derive be a
-//! small hand-rolled token parser instead of a full Rust grammar:
+//! data model is a JSON-shaped `Value` tree — `Serialize` streams it as
+//! `Sink` events (`emit`), `Deserialize` reads the tree back — which lets
+//! the derive be a small hand-rolled token parser instead of a full Rust
+//! grammar:
 //!
 //! * named/tuple/unit structs and enums with unit/tuple/struct variants,
 //! * no generic types (none of the workspace's serialized types are),
@@ -185,29 +187,33 @@ fn parse_item(input: TokenStream) -> Item {
     }
 }
 
-/// Expression serializing `fields` given an access prefix (`&self.` for
-/// structs, `` for bound match variables).
-fn ser_fields_expr(fields: &Fields, access: &dyn Fn(usize, &str) -> String) -> String {
+/// Statements emitting `fields` into the sink `__s`, given an access
+/// expression per field (`&self.x` for structs, bound match variables for
+/// enum variants).
+fn emit_fields(fields: &Fields, access: &dyn Fn(usize, &str) -> String) -> String {
     match fields {
         Fields::Named(names) => {
-            let mut s = String::from("{ let mut __f: Vec<(String, ::serde::Value)> = Vec::new(); ");
+            let mut s = format!("__s.obj({});", names.len());
             for (i, n) in names.iter().enumerate() {
                 s.push_str(&format!(
-                    "__f.push((\"{n}\".to_string(), ::serde::Serialize::ser({})));",
+                    " __s.key(\"{n}\"); ::serde::Serialize::emit({}, __s);",
                     access(i, n)
                 ));
             }
-            s.push_str(" ::serde::Value::Obj(__f) }");
             s
         }
-        Fields::Tuple(1) => format!("::serde::Serialize::ser({})", access(0, "")),
+        Fields::Tuple(1) => format!("::serde::Serialize::emit({}, __s);", access(0, "")),
         Fields::Tuple(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Serialize::ser({})", access(i, "")))
-                .collect();
-            format!("::serde::Value::Arr(vec![{}])", items.join(", "))
+            let mut s = format!("__s.arr({n});");
+            for i in 0..*n {
+                s.push_str(&format!(
+                    " ::serde::Serialize::emit({}, __s);",
+                    access(i, "")
+                ));
+            }
+            s
         }
-        Fields::Unit => "::serde::Value::Null".to_string(),
+        Fields::Unit => "__s.null();".to_string(),
     }
 }
 
@@ -235,53 +241,51 @@ fn de_fields_expr(fields: &Fields, src: &str) -> String {
 
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    let body = match parse_item(input) {
+    let (name, body) = match parse_item(input) {
         Item::Struct { name, fields } => {
-            let expr = ser_fields_expr(&fields, &|i, n| {
+            let body = emit_fields(&fields, &|i, n| {
                 if n.is_empty() {
                     format!("&self.{i}")
                 } else {
                     format!("&self.{n}")
                 }
             });
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                     fn ser(&self) -> ::serde::Value {{ {expr} }}\n\
-                 }}"
-            )
+            (name, body)
         }
         Item::Enum { name, variants } => {
             let mut arms = String::new();
             for (vname, fields) in &variants {
                 match fields {
-                    Fields::Unit => arms.push_str(&format!(
-                        "Self::{vname} => ::serde::Value::Str(\"{vname}\".to_string()),\n"
-                    )),
+                    Fields::Unit => {
+                        arms.push_str(&format!("Self::{vname} => __s.str(\"{vname}\"),\n"))
+                    }
                     Fields::Tuple(n) => {
                         let binds: Vec<String> = (0..*n).map(|i| format!("__b{i}")).collect();
-                        let expr = ser_fields_expr(fields, &|i, _| format!("__b{i}"));
+                        let body = emit_fields(fields, &|i, _| format!("__b{i}"));
                         arms.push_str(&format!(
-                            "Self::{vname}({}) => ::serde::Value::Obj(vec![(\"{vname}\".to_string(), {expr})]),\n",
+                            "Self::{vname}({}) => {{ __s.obj(1); __s.key(\"{vname}\"); {body} }}\n",
                             binds.join(", ")
                         ));
                     }
                     Fields::Named(names) => {
-                        let expr = ser_fields_expr(fields, &|_, n| n.to_string());
+                        let body = emit_fields(fields, &|_, n| n.to_string());
                         arms.push_str(&format!(
-                            "Self::{vname} {{ {} }} => ::serde::Value::Obj(vec![(\"{vname}\".to_string(), {expr})]),\n",
+                            "Self::{vname} {{ {} }} => {{ __s.obj(1); __s.key(\"{vname}\"); {body} }}\n",
                             names.join(", ")
                         ));
                     }
                 }
             }
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                     fn ser(&self) -> ::serde::Value {{ match self {{ {arms} }} }}\n\
-                 }}"
-            )
+            (name, format!("match self {{ {arms} }}"))
         }
     };
-    body.parse().expect("serde_derive generated invalid Rust")
+    format!(
+        "impl ::serde::Serialize for {name} {{\n\
+             fn emit(&self, __s: &mut dyn ::serde::Sink) {{ {body} }}\n\
+         }}"
+    )
+    .parse()
+    .expect("serde_derive generated invalid Rust")
 }
 
 #[proc_macro_derive(Deserialize, attributes(serde))]

@@ -160,13 +160,16 @@ fn build_walk(nodes: &[Node], n_features: usize) -> Result<(Vec<WalkNode>, u32),
 // Manual impls keep the serialized shape the derive gave before the walk
 // array existed (same fields, same order) and rebuild the array on load.
 impl Serialize for OnlineTree {
-    fn ser(&self) -> Value {
-        Value::Obj(vec![
-            ("nodes".to_string(), self.nodes.ser()),
-            ("n_features".to_string(), self.n_features.ser()),
-            ("n_splits".to_string(), self.n_splits.ser()),
-            ("importances".to_string(), self.importances.ser()),
-        ])
+    fn emit(&self, sink: &mut dyn serde::Sink) {
+        sink.obj(4);
+        sink.key("nodes");
+        self.nodes.emit(sink);
+        sink.key("n_features");
+        self.n_features.emit(sink);
+        sink.key("n_splits");
+        self.n_splits.emit(sink);
+        sink.key("importances");
+        self.importances.emit(sink);
     }
 }
 

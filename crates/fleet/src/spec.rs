@@ -3,7 +3,7 @@
 //! One flag per tenant, value = `name[,key=value]...`:
 //!
 //! ```text
-//! --tenant sta,domain=smart,shards=4,checkpoint=/var/lib/orfpred/sta.json
+//! --tenant sta,domain=smart,shards=4,checkpoint=/var/lib/orfpred/sta.ckpt
 //! --tenant mce0,domain=mce,shards=2,store=/data/mce0,threshold=0.6
 //! ```
 //!

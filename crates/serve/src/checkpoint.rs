@@ -1,26 +1,45 @@
 //! Durable serving state: the full Algorithm 2 pipeline — forest, scaler,
 //! labelling queues, alarm threshold — plus the stream position, written
-//! atomically (write-tmp → fsync → rename) so a crash never leaves a
-//! half-written file.
+//! atomically (write-tmp → fsync → rename → fsync the directory) so a
+//! crash never leaves a half-written file.
 //!
-//! The JSON shape is deliberately identical to the CLI's `SavedModel`
+//! This module owns the checkpoint *file format* (DESIGN.md §8.2), which
+//! the CLI's model files share:
+//!
+//! ```text
+//! magic "ORFCKP1\n" | body | CRC32 u32 LE | tail magic "ORFCKPF\n"
+//! ```
+//!
+//! The body is the binary image of the value's serde `Value` tree
+//! ([`orfpred_util::codec`]): the encoder consumes the type's streamed
+//! serialization events, so saving builds no tree and renders no text.
+//! The CRC covers magic + body, so any flipped bit fails the load; a torn
+//! write loses the tail magic. [`read_file`] recognises the format by its
+//! leading magic — never by the file extension — and hands any other
+//! bytes to the JSON parser, so JSON files written before the binary
+//! format still load.
+//!
+//! The logical shape is deliberately identical to the CLI's `SavedModel`
 //! (`{"Online": {...}}`): a v1 model file written by `orfpred train
 //! --online` (scaler + forest only) restores into a daemon with empty
 //! labelling queues, and a daemon checkpoint loads anywhere a `SavedModel`
 //! does. The extra fields are optional for exactly that reason.
 //!
-//! Loading is defensive: a truncated, torn, or structurally inconsistent
-//! file yields a typed [`CheckpointError`] with a message naming the file
-//! and the defect — never a panic deep inside a deserializer or, worse, an
-//! engine that starts on nonsense state (`tests/fault_checkpoint.rs`
-//! exercises the torn-write path end to end).
+//! Loading is defensive: a truncated, torn, bit-flipped, or structurally
+//! inconsistent file yields a typed [`CheckpointError`] with a message
+//! naming the file and the defect — never a panic deep inside a decoder or,
+//! worse, an engine that starts on nonsense state
+//! (`tests/fault_checkpoint.rs` exercises these paths end to end).
 
 use crate::fault::{CheckpointFault, FaultInjector, NoFaults};
 use orfpred_core::{AdaptiveState, OnlineLabeller, OnlineRandomForest};
 use orfpred_prep::Preprocessor;
 use orfpred_smart::scale::OnlineMinMax;
 use orfpred_smart::{DomainSchema, WindowStage};
-use serde::{Deserialize, Serialize};
+use orfpred_util::codec::{self, Encoder};
+use orfpred_util::crc::crc32;
+use orfpred_util::durable::sync_parent_dir;
+use serde::{Deserialize, Serialize, Value};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -29,6 +48,13 @@ use std::path::{Path, PathBuf};
 /// predate the domain-schema and window-stage fields, which deserialize as
 /// `None` — the implicit SMART domain with no derived features.
 pub const CHECKPOINT_VERSION: u32 = 3;
+
+/// Leading magic of a checkpoint file: format name + framing version.
+pub const CKPT_MAGIC: &[u8; 8] = b"ORFCKP1\n";
+/// Trailing magic: tells a torn write from a file of another format.
+pub const CKPT_TAIL_MAGIC: &[u8; 8] = b"ORFCKPF\n";
+/// Bytes after the body: CRC32 + tail magic.
+const TRAILER_LEN: usize = 4 + CKPT_TAIL_MAGIC.len();
 
 /// Why a checkpoint could not be saved or loaded.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -137,8 +163,9 @@ pub enum Checkpoint {
 
 impl Checkpoint {
     /// Serialize and atomically replace `path`: write to a sibling
-    /// temporary file, fsync it, then rename over the target, so `path`
-    /// always holds either the previous or the new checkpoint in full.
+    /// temporary file, fsync it, rename it over the target and fsync the
+    /// directory, so `path` always holds either the previous or the new
+    /// checkpoint in full.
     pub fn save_atomic(&self, path: &Path) -> Result<(), CheckpointError> {
         self.save_atomic_faulted(path, &NoFaults)
     }
@@ -151,61 +178,17 @@ impl Checkpoint {
         path: &Path,
         injector: &dyn FaultInjector,
     ) -> Result<(), CheckpointError> {
-        let io = |p: &Path, e: std::io::Error| CheckpointError::Io {
-            path: p.to_path_buf(),
-            detail: e.to_string(),
-        };
-        let bytes = serde_json::to_vec(self).map_err(|e| CheckpointError::Io {
-            path: path.to_path_buf(),
-            detail: format!("serialize checkpoint: {e}"),
-        })?;
-        let tmp = path.with_extension("tmp");
-        match injector.checkpoint_fault(path) {
-            CheckpointFault::None => {}
-            CheckpointFault::CrashBeforeRename => {
-                // The crash window the rename protects against: tmp fully
-                // written and synced, target untouched.
-                std::fs::write(&tmp, &bytes).map_err(|e| io(&tmp, e))?;
-                return Err(CheckpointError::Injected {
-                    path: path.to_path_buf(),
-                    detail: "crash before rename (tmp written, target untouched)".into(),
-                });
-            }
-            CheckpointFault::TornWrite { keep } => {
-                // A filesystem without the atomic guarantee: a prefix of
-                // the new bytes lands directly in the target.
-                let keep = keep.min(bytes.len());
-                std::fs::write(path, &bytes[..keep]).map_err(|e| io(path, e))?;
-                return Err(CheckpointError::Injected {
-                    path: path.to_path_buf(),
-                    detail: format!("torn write ({keep} of {} bytes)", bytes.len()),
-                });
-            }
-        }
-        let mut file = std::fs::File::create(&tmp).map_err(|e| io(&tmp, e))?;
-        file.write_all(&bytes).map_err(|e| io(&tmp, e))?;
-        file.sync_all().map_err(|e| io(&tmp, e))?;
-        drop(file);
-        std::fs::rename(&tmp, path).map_err(|e| io(path, e))?;
-        Ok(())
+        write_file(path, self, injector)
     }
 
     /// Load a checkpoint (or v1 `SavedModel::Online`) from `path`.
     ///
     /// A missing/unreadable file is [`CheckpointError::Io`]; anything that
-    /// parses wrong or fails [`Checkpoint::validate`] is
+    /// decodes wrong or fails [`Checkpoint::validate`] is
     /// [`CheckpointError::Corrupt`] — callers can distinguish "no
     /// checkpoint yet" from "the checkpoint is damaged, fall back".
     pub fn load(path: &Path) -> Result<Self, CheckpointError> {
-        let bytes = std::fs::read(path).map_err(|e| CheckpointError::Io {
-            path: path.to_path_buf(),
-            detail: e.to_string(),
-        })?;
-        let ck: Checkpoint =
-            serde_json::from_slice(&bytes).map_err(|e| CheckpointError::Corrupt {
-                path: path.to_path_buf(),
-                detail: e.to_string(),
-            })?;
+        let ck: Checkpoint = read_file(path)?;
         ck.validate().map_err(|detail| CheckpointError::Corrupt {
             path: path.to_path_buf(),
             detail,
@@ -277,10 +260,127 @@ impl Checkpoint {
     }
 }
 
+/// The file image of `value`: magic, binary body, CRC32, tail magic.
+fn encode_file<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
+    let mut enc = Encoder::new(CKPT_MAGIC.to_vec());
+    value.emit(&mut enc);
+    let mut bytes = enc.finish();
+    let crc = crc32(&bytes);
+    bytes.extend_from_slice(&crc.to_le_bytes());
+    bytes.extend_from_slice(CKPT_TAIL_MAGIC);
+    bytes
+}
+
+/// The `Value` tree inside a file image that starts with [`CKPT_MAGIC`].
+fn decode_image(bytes: &[u8]) -> Result<Value, String> {
+    let Some(body_end) = bytes
+        .len()
+        .checked_sub(TRAILER_LEN)
+        .filter(|&end| end > CKPT_MAGIC.len())
+    else {
+        return Err(format!("file too short ({} bytes)", bytes.len()));
+    };
+    let (image, trailer) = bytes.split_at(body_end);
+    let (crc, tail) = trailer.split_at(4);
+    if tail != CKPT_TAIL_MAGIC {
+        return Err("missing tail magic (torn or truncated write)".into());
+    }
+    let stored = u32::from_le_bytes([crc[0], crc[1], crc[2], crc[3]]);
+    if crc32(image) != stored {
+        return Err("CRC mismatch".into());
+    }
+    codec::decode(&image[CKPT_MAGIC.len()..]).map_err(|e| e.to_string())
+}
+
+/// Write `value` to `path` in the checkpoint file format, atomically:
+/// sibling temporary file, fsync, rename over `path`, fsync the directory.
+/// `injector` may replace the clean save with a fault
+/// ([`CheckpointFault`]). [`Checkpoint::save_atomic`] and the CLI's model
+/// files both save through here.
+pub fn write_file<T: Serialize + ?Sized>(
+    path: &Path,
+    value: &T,
+    injector: &dyn FaultInjector,
+) -> Result<(), CheckpointError> {
+    let io = |p: &Path, e: std::io::Error| CheckpointError::Io {
+        path: p.to_path_buf(),
+        detail: e.to_string(),
+    };
+    let mut bytes = encode_file(value);
+    let tmp = path.with_extension("tmp");
+    match injector.checkpoint_fault(path) {
+        CheckpointFault::None => {}
+        CheckpointFault::CrashBeforeRename => {
+            // The crash window the rename protects against: tmp fully
+            // written and synced, target untouched.
+            std::fs::write(&tmp, &bytes).map_err(|e| io(&tmp, e))?;
+            return Err(CheckpointError::Injected {
+                path: path.to_path_buf(),
+                detail: "crash before rename (tmp written, target untouched)".into(),
+            });
+        }
+        CheckpointFault::TornWrite { keep } => {
+            // A filesystem without the atomic guarantee: a prefix of
+            // the new bytes lands directly in the target.
+            let keep = keep.min(bytes.len());
+            std::fs::write(path, &bytes[..keep]).map_err(|e| io(path, e))?;
+            return Err(CheckpointError::Injected {
+                path: path.to_path_buf(),
+                detail: format!("torn write ({keep} of {} bytes)", bytes.len()),
+            });
+        }
+        CheckpointFault::FlipByte { at, xor } => {
+            // Silent bit rot: the save below succeeds; only the loader's
+            // CRC can notice.
+            let at = at.min(bytes.len().saturating_sub(1));
+            if let Some(b) = bytes.get_mut(at) {
+                *b ^= xor;
+            }
+        }
+    }
+    let mut file = std::fs::File::create(&tmp).map_err(|e| io(&tmp, e))?;
+    file.write_all(&bytes).map_err(|e| io(&tmp, e))?;
+    file.sync_all().map_err(|e| io(&tmp, e))?;
+    drop(file);
+    std::fs::rename(&tmp, path).map_err(|e| io(path, e))?;
+    sync_parent_dir(path).map_err(|e| CheckpointError::Io {
+        path: path.to_path_buf(),
+        detail: format!("fsync of the directory: {e}"),
+    })
+}
+
+/// Read a value [`write_file`] wrote, or a JSON document of the same
+/// shape: the format is told by the leading magic, not the extension.
+/// A missing/unreadable file is [`CheckpointError::Io`]; bytes that fail
+/// the framing checks or do not decode into `T` are
+/// [`CheckpointError::Corrupt`].
+pub fn read_file<T: Deserialize>(path: &Path) -> Result<T, CheckpointError> {
+    let bytes = std::fs::read(path).map_err(|e| CheckpointError::Io {
+        path: path.to_path_buf(),
+        detail: e.to_string(),
+    })?;
+    parse_file(&bytes).map_err(|detail| CheckpointError::Corrupt {
+        path: path.to_path_buf(),
+        detail,
+    })
+}
+
+/// Decode a file's bytes: the binary format if they start with its magic,
+/// JSON otherwise.
+fn parse_file<T: Deserialize>(bytes: &[u8]) -> Result<T, String> {
+    if bytes.starts_with(CKPT_MAGIC) {
+        T::de(&decode_image(bytes)?).map_err(|e| e.to_string())
+    } else {
+        serde_json::from_slice(bytes).map_err(|e| e.to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use orfpred_core::OrfConfig;
+    use orfpred_core::{AdaptConfig, OrfConfig, UpdatePolicy};
+    use orfpred_smart::gen::FleetEvent;
+    use orfpred_smart::record::DiskDay;
 
     fn tiny() -> Checkpoint {
         let cols = vec![0usize, 2];
@@ -330,6 +430,160 @@ mod tests {
             "tmp file renamed away"
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A checkpoint with every optional part populated: prep, adapt, an
+    /// mce schema and window state.
+    fn full() -> Checkpoint {
+        let schema = DomainSchema::mce();
+        let mut window = WindowStage::new(&schema);
+        for day in 0..4u16 {
+            for disk in [2u32, 9] {
+                let mut row = vec![0.0f32; schema.n_base_features()];
+                row[1] = f32::from(day) * 3.0 + disk as f32;
+                window.extend(disk, &mut row);
+            }
+        }
+        let orf = OrfConfig {
+            n_trees: 2,
+            n_tests: 8,
+            ..OrfConfig::default()
+        };
+        let policy = AdaptConfig::new(UpdatePolicy::Accumulate, vec![0, 1]);
+        let mut adapt = AdaptiveState::new(&policy, 2, &orf, 9);
+        for i in 0..60u16 {
+            adapt.on_released(&[f32::from(i) * 0.25, 1.0], i % 7 == 0);
+        }
+        let mut prep = Preprocessor::new(&orfpred_prep::PrepConfig::tolerant());
+        let mut out = Vec::new();
+        for (day, x) in [(0u16, 1.0f32), (1, f32::NAN), (2, -3.5)] {
+            let features = vec![x; schema.n_base_features()];
+            let sample = DiskDay {
+                disk_id: 4,
+                day,
+                features,
+            };
+            prep.observe(&FleetEvent::Sample(sample), &mut out);
+        }
+        let Checkpoint::Online {
+            scaler,
+            forest,
+            labeller,
+            ..
+        } = tiny();
+        Checkpoint::Online {
+            scaler,
+            forest,
+            version: Some(CHECKPOINT_VERSION),
+            labeller,
+            alarm_threshold: Some(0.25),
+            alarms_raised: Some(3),
+            next_seq: Some(u64::MAX),
+            events_ingested: Some(u64::MAX - 1),
+            prep: Some(prep),
+            adapt: Some(adapt),
+            schema: Some(schema),
+            window: Some(window),
+        }
+    }
+
+    /// A checkpoint small enough to corrupt one byte at a time.
+    fn small() -> Checkpoint {
+        let mut scaler = OnlineMinMax::new_log1p(&[0]);
+        scaler.update(&[2.0]);
+        let cfg = OrfConfig {
+            n_trees: 1,
+            n_tests: 2,
+            warmup_age: 0,
+            ..OrfConfig::default()
+        };
+        let mut forest = OnlineRandomForest::new(1, cfg, 3);
+        forest.update(&[0.5], false);
+        Checkpoint::Online {
+            scaler,
+            forest,
+            version: Some(CHECKPOINT_VERSION),
+            labeller: Some(OnlineLabeller::new(3)),
+            alarm_threshold: Some(0.5),
+            alarms_raised: Some(0),
+            next_seq: Some(9),
+            events_ingested: Some(8),
+            prep: None,
+            adapt: None,
+            schema: Some(DomainSchema::smart()),
+            window: None,
+        }
+    }
+
+    #[test]
+    fn binary_image_is_the_value_tree_of_a_full_checkpoint() {
+        let ck = full();
+        ck.validate().unwrap();
+        assert_eq!(codec::decode(&codec::encode(&ck)).unwrap(), ck.ser());
+        let path = std::env::temp_dir().join("orfpred_serve_ckpt_full_test.ckpt");
+        ck.save_atomic(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert!(bytes.starts_with(CKPT_MAGIC) && bytes.ends_with(CKPT_TAIL_MAGIC));
+        let back = Checkpoint::load(&path).unwrap();
+        assert_eq!(
+            serde_json::to_string(&ck).unwrap(),
+            serde_json::to_string(&back).unwrap()
+        );
+        // The same checkpoint as a legacy JSON file, under the binary
+        // extension: detection goes by content.
+        std::fs::write(&path, serde_json::to_vec(&ck).unwrap()).unwrap();
+        let legacy = Checkpoint::load(&path).unwrap();
+        assert_eq!(legacy.ser(), ck.ser());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn every_truncation_and_bit_flip_is_corrupt() {
+        let ck = small();
+        let bytes = encode_file(&ck);
+        assert!(parse_file::<Checkpoint>(&bytes).is_ok());
+        for cut in 0..bytes.len() {
+            assert!(
+                parse_file::<Checkpoint>(&bytes[..cut]).is_err(),
+                "truncation to {cut} of {} bytes loaded",
+                bytes.len()
+            );
+        }
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[i] ^= 1 << bit;
+                assert!(
+                    parse_file::<Checkpoint>(&flipped).is_err(),
+                    "bit {bit} of byte {i} flipped and the file still loaded"
+                );
+            }
+        }
+        // Through the file API the same damage is a typed Corrupt error.
+        let path = std::env::temp_dir().join("orfpred_serve_ckpt_flip_test.ckpt");
+        let mut flipped = bytes.clone();
+        flipped[bytes.len() / 2] ^= 0x10;
+        std::fs::write(&path, &flipped).unwrap();
+        match Checkpoint::load(&path) {
+            Err(CheckpointError::Corrupt { detail, .. }) => {
+                assert!(detail.contains("CRC"), "{detail}")
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_forged_length_with_a_valid_crc_is_corrupt_not_an_allocation() {
+        // An array claiming 2^40 elements, correctly framed and checksummed.
+        let mut bytes = CKPT_MAGIC.to_vec();
+        bytes.push(6);
+        orfpred_util::varint::write_u64(&mut bytes, 1 << 40);
+        let crc = crc32(&bytes);
+        bytes.extend_from_slice(&crc.to_le_bytes());
+        bytes.extend_from_slice(CKPT_TAIL_MAGIC);
+        let err = parse_file::<Checkpoint>(&bytes).unwrap_err();
+        assert!(err.contains("exceeds"), "{err}");
     }
 
     #[test]

@@ -43,6 +43,17 @@ pub enum CheckpointFault {
         /// How many bytes of the serialized checkpoint survive.
         keep: usize,
     },
+    /// Simulate silent bit rot: the atomic save completes and reports
+    /// success, but byte `min(at, len - 1)` of the file is XOR-ed with
+    /// `xor`. Loading the file must yield [`CheckpointError::Corrupt`].
+    ///
+    /// [`CheckpointError::Corrupt`]: crate::checkpoint::CheckpointError
+    FlipByte {
+        /// Offset of the damaged byte.
+        at: usize,
+        /// Bits to flip in it.
+        xor: u8,
+    },
 }
 
 /// Injection points threaded through the serving engine and daemon.

@@ -37,7 +37,7 @@ pub mod fault;
 pub mod protocol;
 pub mod stats;
 
-pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_VERSION};
+pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_VERSION, CKPT_MAGIC};
 pub use engine::{
     shard_of, Engine, Finished, ModelSnapshot, ServeConfig, ServeError, WRITER_BATCH,
 };

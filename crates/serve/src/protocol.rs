@@ -8,7 +8,7 @@
 //! {"type":"failure","disk_id":17,"day":213}
 //! {"type":"score","features":[...48 floats...]}
 //! {"type":"stats"}
-//! {"type":"checkpoint","path":"/var/lib/orfpred/model.json"}
+//! {"type":"checkpoint","path":"/var/lib/orfpred/model.ckpt"}
 //! {"type":"reshard","n_shards":8}
 //! {"type":"shutdown"}
 //! ```

@@ -25,11 +25,9 @@
 //! [`DiskDay`]: orfpred_smart::record::DiskDay
 //! [`FleetEvent`]: orfpred_smart::gen::FleetEvent
 
-pub mod crc;
 pub mod fault;
 pub mod reader;
 pub mod segment;
-pub mod varint;
 pub mod writer;
 
 pub use fault::{NoStoreFaults, SegmentFault, StoreFaultInjector};
@@ -138,6 +136,89 @@ mod tests {
                 _ => panic!("event {i}: kind mismatch"),
             }
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// An event as comparable plain data (feature bits included).
+    fn event_key(e: &FleetEvent) -> (bool, u32, u16, Vec<u32>) {
+        match e {
+            FleetEvent::Sample(r) => (
+                true,
+                r.disk_id,
+                r.day,
+                r.features.iter().map(|f| f.to_bits()).collect(),
+            ),
+            FleetEvent::Failure { disk_id, day } => (false, *disk_id, *day, Vec::new()),
+        }
+    }
+
+    #[test]
+    fn events_from_seeks_exactly_like_skipping() {
+        let fleet = tiny_fleet();
+        let mut failed_on_split = false;
+        for segment_rows in [7, 15, 64] {
+            let dir = tmp_dir(&format!("seek{segment_rows}"));
+            let cfg = StoreConfig {
+                segment_rows,
+                ..StoreConfig::default()
+            };
+            let meta = record_fleet(&dir, &fleet, cfg).unwrap();
+            let store = Store::open(&dir).unwrap();
+            let all: Vec<_> = store.events().map(|e| event_key(&e.unwrap())).collect();
+            // The layouts must exercise what the seek reasons about: days
+            // split across segments, and failures dated on those days.
+            let straddled: Vec<u16> = meta
+                .segments
+                .windows(2)
+                .filter(|w| w[0].last_day == w[1].first_day)
+                .map(|w| w[1].first_day)
+                .collect();
+            assert!(!straddled.is_empty(), "rows {segment_rows}: no split day");
+            failed_on_split |= meta
+                .disks
+                .iter()
+                .any(|d| d.failed && straddled.contains(&d.last_day));
+            for n in 0..=all.len() + 2 {
+                let tail: Vec<_> = store
+                    .events_from(n as u64)
+                    .map(|e| event_key(&e.unwrap()))
+                    .collect();
+                assert!(
+                    tail[..] == all[n.min(all.len())..],
+                    "rows {segment_rows}, cursor {n}"
+                );
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+        assert!(failed_on_split, "no layout put a failure on a split day");
+    }
+
+    #[test]
+    fn events_from_checks_the_segments_it_skips() {
+        let fleet = tiny_fleet();
+        let dir = tmp_dir("seek-corrupt");
+        let cfg = StoreConfig {
+            segment_rows: 128,
+            ..StoreConfig::default()
+        };
+        let meta = record_fleet(&dir, &fleet, cfg).unwrap();
+        assert!(meta.segments.len() > 2);
+        let store = Store::open(&dir).unwrap();
+        let n = store.events().count() as u64;
+        // Flip one body byte of the first segment: same size, bad CRC.
+        let seg0 = dir.join(&meta.segments[0].file);
+        let mut bytes = std::fs::read(&seg0).unwrap();
+        bytes[20] ^= 0x01;
+        std::fs::write(&seg0, &bytes).unwrap();
+        let mut tail = store.events_from(n - 5);
+        match tail.next() {
+            Some(Err(StoreError::Corrupt { path, detail })) => {
+                assert_eq!(path, seg0);
+                assert!(detail.contains("CRC"), "{detail}");
+            }
+            other => panic!("expected a Corrupt error first, got {other:?}"),
+        }
+        assert!(tail.next().is_none(), "the stream ends after the error");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

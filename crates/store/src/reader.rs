@@ -156,43 +156,66 @@ impl Store {
         self.dir.join(&self.meta.segments[i].file)
     }
 
-    /// Load and fully decode (CRC-verify) segment `i`.
-    pub fn segment(&self, i: usize) -> Result<Segment, StoreError> {
+    /// Read segment `i` and run every check that needs no column decode:
+    /// its size against the manifest, the footer and body CRCs, and its
+    /// row count and schema against the manifest. Replay decodes the image
+    /// this returns; a seek stops here for the segments it skips.
+    fn checked_image(&self, i: usize) -> Result<(PathBuf, Vec<u8>, Footer), StoreError> {
         let path = self.segment_path(i);
         let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
-        let seg = Segment::decode(&bytes, &path)?;
         // lint: allow(panic_path, reason="segment_path(i) above already indexed the same manifest entry; callers stay in 0..n_segments()")
-        let want = self.meta.segments[i].rows;
-        if seg.n_rows() as u64 != want {
+        let sm = &self.meta.segments[i];
+        if bytes.len() as u64 != sm.bytes {
             return Err(corrupt(
                 &path,
-                format!("segment holds {} rows, manifest says {want}", seg.n_rows()),
+                format!(
+                    "segment is {} bytes, manifest says {} (torn write?)",
+                    bytes.len(),
+                    sm.bytes
+                ),
             ));
         }
-        if seg.schema_fp() != self.schema.fingerprint() {
+        let footer = Footer::parse(&bytes, &path)?;
+        footer.check_body(&bytes, &path)?;
+        if u64::from(footer.n_rows) != sm.rows {
+            return Err(corrupt(
+                &path,
+                format!(
+                    "segment holds {} rows, manifest says {}",
+                    footer.n_rows, sm.rows
+                ),
+            ));
+        }
+        if footer.schema_fp != self.schema.fingerprint() {
             return Err(corrupt(
                 &path,
                 format!(
                     "segment schema fingerprint {:016x} does not match the store's \
                      `{}` schema ({:016x})",
-                    seg.schema_fp(),
+                    footer.schema_fp,
                     self.schema.name,
                     self.schema.fingerprint()
                 ),
             ));
         }
-        if seg.n_features() != self.schema.n_base_features() {
+        if footer.n_features as usize != self.schema.n_base_features() {
             return Err(corrupt(
                 &path,
                 format!(
                     "segment rows have {} feature columns, schema `{}` has {} base columns",
-                    seg.n_features(),
+                    footer.n_features,
                     self.schema.name,
                     self.schema.n_base_features()
                 ),
             ));
         }
-        Ok(seg)
+        Ok((path, bytes, footer))
+    }
+
+    /// Load and fully decode (CRC-verify) segment `i`.
+    pub fn segment(&self, i: usize) -> Result<Segment, StoreError> {
+        let (path, bytes, footer) = self.checked_image(i)?;
+        Segment::decode_verified(&bytes, &footer, &path)
     }
 
     /// Stream every record in `(day, disk_id)` order.
@@ -230,15 +253,52 @@ impl Store {
 
     /// Stream the event sequence starting after a catch-up cursor: the
     /// first `skip` events (already covered by a restored checkpoint's
-    /// `events_ingested` count) are consumed and discarded, the rest are
-    /// yielded in [`Self::events`] order. One daemon tenant calls this with
-    /// its own cursor, so every tenant replays exactly the store tail it
-    /// missed.
+    /// `events_ingested` count) are passed over, the rest are yielded in
+    /// [`Self::events`] order. One daemon tenant calls this with its own
+    /// cursor, so every tenant replays exactly the store tail it missed.
+    ///
+    /// Whole segments before the cursor are skipped by their manifest
+    /// entries: the events before segment `k` are the rows of segments
+    /// `0..k` plus the failures dated before `k`'s first day (a failure
+    /// follows every sample of its own day). Each skipped segment is still
+    /// read and checked (its size, both CRCs, row count and schema, as a
+    /// full replay would) but its columns are not decoded; a failed
+    /// check is yielded as the first item. Only the segment holding the
+    /// cursor is decoded and stepped through event by event.
     pub fn events_from(
         &self,
         skip: u64,
     ) -> impl Iterator<Item = Result<FleetEvent, StoreError>> + '_ {
-        self.events().skip(skip as usize)
+        let mut events = self.events();
+        // (segments skipped, events before them, failures before them).
+        let mut seek = (0usize, 0u64, 0usize);
+        let segs = &self.meta.segments;
+        // Boundary k < n opens segment k; boundary n is the end of the
+        // rows, where the failures dated on or after the last day remain.
+        let boundaries = segs
+            .iter()
+            .map(|s| s.first_day)
+            .chain(segs.last().map(|s| s.last_day));
+        let mut rows = 0u64;
+        for (k, day) in boundaries.enumerate() {
+            let fails = events.failures.partition_point(|&(d, _)| d < day);
+            let before = rows + fails as u64;
+            if before > skip {
+                break;
+            }
+            seek = (k, before, fails);
+            rows += segs.get(k).map_or(0, |s| s.rows);
+        }
+        let (seg, before, fails) = seek;
+        let error = (0..seg).find_map(|i| self.checked_image(i).err());
+        if error.is_some() {
+            events.done = true;
+        } else {
+            events.records.next_seg = seg;
+            events.next_failure = fails;
+        }
+        let rest = usize::try_from(skip - before).unwrap_or(usize::MAX);
+        error.map(Err).into_iter().chain(events.skip(rest))
     }
 
     /// Materialize the whole store as a [`Dataset`] (validated). Only for

@@ -39,11 +39,11 @@
 //! way replay reproduces the exact input bits, which is what the
 //! golden-trace oracle asserts.
 
-use crate::crc::crc32;
-use crate::varint;
 use crate::StoreError;
 use orfpred_smart::record::DiskDay;
 use orfpred_smart::DomainSchema;
+use orfpred_util::crc::crc32;
+use orfpred_util::varint;
 use std::path::Path;
 
 /// Leading magic: format name + version (v2 added the schema fingerprint
@@ -356,6 +356,16 @@ impl Footer {
         })
     }
 
+    /// Check the body CRC of the segment image `bytes` this footer was
+    /// parsed from.
+    pub(crate) fn check_body(&self, bytes: &[u8], path: &Path) -> Result<(), StoreError> {
+        let body_end = SEG_MAGIC.len() + self.body_len as usize;
+        match bytes.get(..body_end) {
+            Some(body) if crc32(body) == self.body_crc => Ok(()),
+            _ => Err(corrupt(path, "body CRC mismatch")),
+        }
+    }
+
     /// Encoded byte size of block `i` (`i < block_ends.len()`, which
     /// `parse` pinned to the footer's block count).
     pub fn block_bytes(&self, i: usize) -> u64 {
@@ -421,10 +431,17 @@ impl Segment {
     /// varint bounds-checked).
     pub fn decode(bytes: &[u8], path: &Path) -> Result<Segment, StoreError> {
         let footer = Footer::parse(bytes, path)?;
-        let body_end = SEG_MAGIC.len() + footer.body_len as usize;
-        if crc32(&bytes[..body_end]) != footer.body_crc {
-            return Err(corrupt(path, "body CRC mismatch"));
-        }
+        footer.check_body(bytes, path)?;
+        Self::decode_verified(bytes, &footer, path)
+    }
+
+    /// Decode the columns of an image whose footer and body CRC were
+    /// already checked ([`Footer::parse`], [`Footer::check_body`]).
+    pub(crate) fn decode_verified(
+        bytes: &[u8],
+        footer: &Footer,
+        path: &Path,
+    ) -> Result<Segment, StoreError> {
         let n = footer.n_rows as usize;
         let n_features = footer.n_features as usize;
         let body = bytes;

@@ -1,5 +1,5 @@
 //! Store writer: append-only segment rotation with the tmp + fsync +
-//! rename discipline, plus an atomically rewritten `store.json` manifest
+//! rename + directory-fsync discipline, plus an atomically rewritten `store.json` manifest
 //! so a crash at any instant leaves a readable consistent prefix.
 
 use crate::fault::{NoStoreFaults, SegmentFault, StoreFaultInjector};
@@ -8,6 +8,7 @@ use crate::StoreError;
 use orfpred_smart::gen::{FleetConfig, FleetEvent, FleetSim};
 use orfpred_smart::record::{Dataset, DiskDay, DiskInfo};
 use orfpred_smart::DomainSchema;
+use orfpred_util::durable::sync_parent_dir;
 use serde::{Deserialize, Serialize};
 use std::fs::{self, File};
 use std::io::Write;
@@ -91,7 +92,8 @@ fn io_err(path: &Path, e: impl std::fmt::Display) -> StoreError {
 }
 
 /// Write `bytes` to `path` atomically: temp file in the same directory,
-/// fsync, rename. The same discipline serve uses for checkpoints.
+/// fsync, rename, fsync the directory. The same discipline serve uses for
+/// checkpoints.
 fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
     let tmp = path.with_extension("tmp");
     {
@@ -99,7 +101,8 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
         f.write_all(bytes).map_err(|e| io_err(&tmp, e))?;
         f.sync_all().map_err(|e| io_err(&tmp, e))?;
     }
-    fs::rename(&tmp, path).map_err(|e| io_err(path, e))
+    fs::rename(&tmp, path).map_err(|e| io_err(path, e))?;
+    sync_parent_dir(path).map_err(|e| io_err(path, format!("fsync of the directory: {e}")))
 }
 
 /// Appends records in `(day, disk_id)` order, sealing a segment every

@@ -8,8 +8,9 @@
 //!
 //! * [`plan`] — [`FaultPlan`], a seeded, one-shot fault schedule
 //!   implementing the engine's [`FaultInjector`] hooks: shard kills,
-//!   delayed/reordered channel delivery, torn or crash-interrupted
-//!   checkpoint writes, and malformed daemon input lines, each keyed to an
+//!   delayed/reordered channel delivery, torn, crash-interrupted or
+//!   silently bit-rotted checkpoint writes, and malformed daemon input
+//!   lines, each keyed to an
 //!   exact stream position;
 //! * [`driver`] — the crash-recovery driver (drop the broken engine,
 //!   restore from the newest checkpoint that loads, replay) and the

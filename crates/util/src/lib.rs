@@ -14,14 +14,22 @@
 //!   simulator), implemented in-crate so results never change under a
 //!   dependency bump,
 //! * [`stats`] — streaming statistics (Welford mean/variance, EWMA) used by
-//!   OOBE tracking and the experiment reports.
+//!   OOBE tracking and the experiment reports,
+//! * [`crc`], [`varint`] and [`codec`] — the byte-level pieces of the
+//!   durable formats: CRC-32, LEB128/zigzag integers, and the binary image
+//!   of the serde shim's `Value` model that serving checkpoints are made
+//!   of, plus [`durable::sync_parent_dir`] for fsync-after-rename.
 
 #![warn(missing_docs)]
 
+pub mod codec;
+pub mod crc;
 pub mod dist;
+pub mod durable;
 pub mod matrix;
 pub mod rng;
 pub mod stats;
+pub mod varint;
 
 pub use matrix::Matrix;
 pub use rng::Xoshiro256pp;

@@ -90,7 +90,7 @@ fn main() {
 
     // --- 2. The in-process API with a mid-stream checkpoint + restore.
     println!("\n== engine API run with checkpoint/restore ==");
-    let ckpt = std::env::temp_dir().join("orfpred_serve_stream_example.json");
+    let ckpt = std::env::temp_dir().join("orfpred_serve_stream_example.ckpt");
     let half = events.len() / 2;
 
     let engine = Engine::new(&serve_cfg(4));

@@ -19,22 +19,32 @@ echo "== daemon smoke: no --tenant flag runs a one-tenant fleet =="
 # Drives the real binary end to end, so the single-tenant flags -> implicit
 # `default` tenant mapping is exercised exactly as an operator invokes it.
 cargo build --release -q -p orfpred-fleet --bin orfpredd
+cargo build --release -q -p orfpred-cli --bin orfpred
 smoke_dir="$(mktemp -d)"
 smoke_out="$(printf '%s\n' \
     '{"type":"sample","disk_id":1,"day":0,"features":[1,2,3]}' \
     '{"type":"failure","disk_id":1,"day":1}' \
     '{"type":"score","features":[1,2,3]}' \
     '{"type":"stats"}' \
-    "{\"type\":\"checkpoint\",\"path\":\"$smoke_dir/ck.json\"}" \
+    "{\"type\":\"checkpoint\",\"path\":\"$smoke_dir/ck.ckpt\"}" \
     '{"type":"shutdown"}' \
     | target/release/orfpredd --shards 2)"
 smoke_count() { printf '%s\n' "$smoke_out" | grep -c "$1" || true; }
 if [ "$(smoke_count '"type":"score"')" -ne 1 ] \
     || [ "$(smoke_count '"type":"stats","tenant":"default"')" -ne 1 ] \
     || [ "$(smoke_count '"type":"ok"')" -ne 2 ] \
-    || [ ! -s "$smoke_dir/ck.json" ]; then
+    || [ ! -s "$smoke_dir/ck.ckpt" ]; then
     echo "daemon smoke: expected score, stats, two ok lines and a checkpoint file:"
     echo "$smoke_out"
+    exit 1
+fi
+# The checkpoint is the CRC-framed binary format, and the CLI reads it.
+if [ "$(head -c 7 "$smoke_dir/ck.ckpt")" != "ORFCKP1" ]; then
+    echo "daemon smoke: the checkpoint does not start with the ORFCKP1 magic"
+    exit 1
+fi
+if ! target/release/orfpred model inspect --model "$smoke_dir/ck.ckpt" >/dev/null; then
+    echo "daemon smoke: orfpred model inspect could not load the daemon checkpoint"
     exit 1
 fi
 rm -rf "$smoke_dir"

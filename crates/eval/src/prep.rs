@@ -99,7 +99,7 @@ pub fn build_matrix(
 }
 
 /// Train an ORF by replaying the labelled samples in timestamp order
-/// (batched per day so tree updates parallelize), with a streaming scaler
+/// (batched per day through `update_batch`), with a streaming scaler
 /// that widens as data arrives — no future peeking.
 ///
 /// Returns the forest and the scaler state at the end of the stream.

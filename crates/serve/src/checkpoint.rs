@@ -171,8 +171,9 @@ impl Checkpoint {
     }
 
     /// [`Checkpoint::save_atomic`] with an injection point: the injector
-    /// may abort the save mid-write to simulate a crash or a torn file
-    /// (the fault semantics are documented on [`CheckpointFault`]).
+    /// may abort the save mid-write to simulate a crash or a torn file, or
+    /// report success while the rename is lost (the fault semantics are
+    /// documented on [`CheckpointFault`]).
     pub fn save_atomic_faulted(
         &self,
         path: &Path,
@@ -318,6 +319,12 @@ pub fn write_file<T: Serialize + ?Sized>(
                 path: path.to_path_buf(),
                 detail: "crash before rename (tmp written, target untouched)".into(),
             });
+        }
+        CheckpointFault::LostRename => {
+            // The save "succeeds", but only the tmp file reached the disk:
+            // the rename's directory entry was lost with the fsync.
+            std::fs::write(&tmp, &bytes).map_err(|e| io(&tmp, e))?;
+            return Ok(());
         }
         CheckpointFault::TornWrite { keep } => {
             // A filesystem without the atomic guarantee: a prefix of

@@ -32,6 +32,13 @@ pub enum CheckpointFault {
     /// absent) and the call reports failure — the atomic-rename guarantee
     /// holding up under an ill-timed crash.
     CrashBeforeRename,
+    /// Simulate a lost directory fsync: the temporary file is written and
+    /// the call reports success, but the rename never reached the directory
+    /// — the target keeps its previous content (or stays absent) and the
+    /// `.tmp` sibling holds the new image, as after a power cut that drops
+    /// the unsynced directory entry. A save that returned `Ok` is then no
+    /// proof the file is there at recovery time.
+    LostRename,
     /// Simulate a torn write on a filesystem without the rename guarantee:
     /// only the first `keep` bytes of the serialized checkpoint land in
     /// the *target* path, and the call reports failure. Loading the

@@ -49,8 +49,14 @@ if ! target/release/orfpred model inspect --model "$smoke_dir/ck.ckpt" >/dev/nul
 fi
 rm -rf "$smoke_dir"
 
-echo "== lint: clippy, warnings are errors =="
-cargo clippy --workspace -- -D warnings
+echo "== lint: rustfmt =="
+cargo fmt --all --check
+
+echo "== lint: clippy on every target, warnings are errors =="
+cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== docs: rustdoc, warnings (e.g. broken intra-doc links) are errors =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== lint: orfpred invariants =="
 # Workspace-wide static pass: determinism, unsafe-audit, panic-path and

@@ -1,6 +1,6 @@
 //! Checkpoint faults end to end: torn writes, crashes between write and
-//! rename, and silent on-disk corruption (truncation, a flipped bit)
-//! discovered only at recovery time.
+//! rename, a rename lost with the directory fsync, and silent on-disk
+//! corruption (truncation, a flipped bit) discovered only at recovery time.
 //! In every case the driver must restore from a checkpoint that still
 //! loads, replay, and end bit-identical to the serial golden trace.
 
@@ -172,6 +172,81 @@ fn a_flipped_bit_falls_back_to_an_older_checkpoint() {
     );
     compare_alarms(&serial, &out.alarms).unwrap();
     compare_final_state(&predictor, &out.final_checkpoint).unwrap();
+}
+
+#[test]
+fn a_lost_rename_falls_back_to_the_previous_checkpoint() {
+    let actions = actions_with_checkpoints(fleet_events(2107), 600);
+    let cps = checkpoint_idxs(&actions);
+    assert!(cps.len() >= 3);
+
+    let dir = workdir("lost-rename");
+    let mut cfg = DriverConfig::new(predictor_cfg(), dir.clone());
+    cfg.shard_cycle = vec![2, 3];
+    // The second checkpoint's save reports success, but its rename never
+    // reached the directory; a later crash forces a restore, which finds no
+    // file at that path and must fall back to checkpoint 1.
+    cfg.plan
+        .fail_checkpoint(&checkpoint_path(&dir, cps[1]), CheckpointFault::LostRename);
+    cfg.crash_after = vec![cps[1] + 50];
+
+    let (serial, predictor) = serial_reference(&cfg.predictor, &actions);
+    let out = run_faulted(&cfg, &actions).expect("driver completes");
+    std::fs::remove_dir_all(&dir).ok();
+
+    assert!(cfg.plan.all_consumed(), "the fault fired");
+    assert_eq!(out.checkpoint_failures, 0, "the lost save reported success");
+    assert_eq!(out.recoveries, 1);
+    assert!(
+        out.checkpoints_taken > cps.len() as u32,
+        "the lost checkpoint was re-taken during replay"
+    );
+    compare_alarms(&serial, &out.alarms).unwrap();
+    compare_final_state(&predictor, &out.final_checkpoint).unwrap();
+}
+
+#[test]
+fn a_lost_rename_keeps_the_previous_bytes_and_leaves_the_new_image_in_tmp() {
+    let dir = workdir("lost-rename-disk");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("ck.ckpt");
+    let cfg = {
+        let mut c = orfpred::serve::ServeConfig::new(predictor_cfg());
+        c.n_shards = 2;
+        c
+    };
+    let engine = orfpred::serve::Engine::new(&cfg);
+    let events = fleet_events(2108);
+    for event in events.iter().take(300).cloned() {
+        engine.ingest(event).unwrap();
+    }
+    engine.checkpoint(&path).unwrap();
+    let previous = std::fs::read(&path).unwrap();
+    for event in events.iter().skip(300).take(300).cloned() {
+        engine.ingest(event).unwrap();
+    }
+    let fin = engine.finish().unwrap();
+    let clean = dir.join("clean.ckpt");
+    fin.checkpoint.save_atomic(&clean).unwrap();
+
+    let plan = Arc::new(FaultPlan::new());
+    plan.fail_checkpoint(&path, CheckpointFault::LostRename);
+    fin.checkpoint
+        .save_atomic_faulted(&path, &*plan)
+        .expect("a lost rename is silent at save time");
+    assert!(plan.all_consumed(), "the fault fired");
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        previous,
+        "the target keeps its previous bytes"
+    );
+    assert_eq!(
+        std::fs::read(path.with_extension("tmp")).unwrap(),
+        std::fs::read(&clean).unwrap(),
+        "the tmp sibling holds the new image"
+    );
+    assert_ne!(previous, std::fs::read(&clean).unwrap());
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
